@@ -3,9 +3,14 @@
 
 Two workload groups show the trade-off between the kernels. Exhaustive
 pairs hold, so the counterexample search scans every bounded
-interpretation and the vectorized numpy path gets full value from wide
-chunks. Early-witness pairs fail quickly; the jit path stops at the
-first hit while the numpy path still pays for a whole chunk.
+interpretation; the numpy path pays its per-chunk Python work once per
+chunk of up to kernels.MAX_LANES indices. Early-witness pairs fail
+quickly; the jit path stops at the first hit while the numpy path still
+pays for the rest of the witness's chunk.
+
+Each group also reports interpretations per second: the indices the
+kernel visits (through the first hit, or all of them) over the whole
+search time, axiom selection and compilation included.
 
 Both paths are timed in one process: the kernel dispatcher re-reads
 DESIREE_PURE_NUMPY on every call, so flipping the flag between runs
@@ -16,7 +21,11 @@ import os
 import time
 
 from desiree.reasoner import kernels
-from desiree.reasoner.oracle import oracle_disprove
+from desiree.reasoner.oracle import (
+    build_problem,
+    oracle_disprove,
+    select_axioms,
+)
 from desiree.syntax.parser import parse_description
 
 D = parse_description
@@ -60,6 +69,21 @@ def run_once(pairs):
     return results
 
 
+def scanned(pairs):
+    """Interpretations the kernel visits: through the first hit, or all."""
+    n = 0
+    for d1, d2, axioms in pairs:
+        selected = select_axioms(d1, d2, axioms)
+        table, total, progs, bounds, enum_table = build_problem(
+            d1, d2, selected)
+        idx = kernels.find_violation(
+            total, table.k, table.gamma, len(table.atoms), len(table.slots),
+            len(table.named), len(table.inds), len(selected), progs, bounds,
+            enum_table)
+        n += total if idx < 0 else idx + 1
+    return n
+
+
 def time_group(pairs):
     run_once(pairs)  # warm-up: jit compilation, caches
     results = None
@@ -93,8 +117,11 @@ def main():
         os.environ.pop("DESIREE_PURE_NUMPY", None)
         if len(outputs) == 2 and outputs["numba"] != outputs["numpy"]:
             raise SystemExit(f"kernel mismatch on {label}: {outputs}")
-        line = "  ".join(f"{b} {timings[b] * 1000:8.2f} ms" for b in backends)
-        print(f"{label:14s} ({len(pairs)} searches)  {line}")
+        n = scanned(pairs)
+        line = "  ".join(f"{b} {timings[b] * 1000:8.2f} ms "
+                         f"{n / timings[b]:12,.0f} interps/s"
+                         for b in backends)
+        print(f"{label:14s} ({len(pairs)} searches, {n:>9,} interps)  {line}")
         if len(timings) == 2:
             ratio = timings["numpy"] / timings["numba"]
             print(f"{'':14s} numpy/numba time ratio {ratio:5.1f}x")

@@ -68,6 +68,9 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as err:
         raise UsageError(f"{E_IO} cannot read {path}: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise UsageError(
+            f"{E_IO} cannot read {path}: not UTF-8 at byte {err.start}")
 
 
 class UsageError(Exception):

@@ -9,6 +9,15 @@ numba path is used when numba imports.
 Index layout, least significant first: individual assignments (radix k),
 named-region bits (gamma per region), slot bits (k+gamma per source, per
 slot), atom bits (k per atom). The decoder in oracle.py mirrors this.
+
+The numpy path scans chunks of consecutive indices, each index read as
+hi * lanes + lo. The low part is a whole number of low digits: radix-k
+individual digits first, then stream bits once every individual digit
+is in, at most MAX_LANES indices in all. Its fields are decoded once
+per search. Within a chunk, every field wholly above the split is a
+scalar and at most one field straddles it, so a program over symbols
+that the chunk shares costs scalar operations, and an axiom that fails
+on such symbols rejects the whole chunk at once.
 """
 from __future__ import annotations
 
@@ -30,6 +39,12 @@ from desiree.reasoner.compile import (
     OP_SLOT_COUNT,
     OP_SLOT_ONLY,
 )
+
+# Indices per numpy chunk. An early witness wastes less of a small chunk
+# and a chunk's arrays (64 KiB each) stay in cache; much below 2^12 the
+# per-chunk work in Python dominates instead. Of 2^11 to 2^15, 2^13 ran
+# the searches of perfbench's three workloads fastest.
+MAX_LANES = 1 << 13
 
 POPCNT = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
 
@@ -69,53 +84,118 @@ def find_violation(
 
 # ---------------------------------------------------------------- numpy
 
-def _decode_chunk(idx, k, gamma, n_atoms, n_slots, n_named, n_inds):
-    u = k + gamma
-    n = idx.shape[0]
-    rest = idx.astype(np.int64)
-    assign = np.zeros((max(n_inds, 1), n), np.int64)
-    for i in range(n_inds):
-        assign[i] = rest % k
-        rest = rest // k
-    named = np.zeros((max(n_named, 1), n), np.int64)
-    gbits = (1 << gamma) - 1
-    for j in range(n_named):
-        named[j] = (rest & gbits) << k
-        rest = rest >> gamma
-    slot_rel = np.zeros((max(n_slots, 1), k, n), np.int64)
-    ubits = (1 << u) - 1
-    for s in range(n_slots):
-        for x in range(k):
-            slot_rel[s, x] = rest & ubits
-            rest = rest >> u
-    atoms = np.zeros((max(n_atoms, 1), n), np.int64)
-    kbits = (1 << k) - 1
-    for a in range(n_atoms):
-        atoms[a] = rest & kbits
-        rest = rest >> k
-    return atoms, slot_rel, named, assign
+class _Chunks:
+    """The split of every index into hi * lanes + lo, lo < lanes.
+
+    fields(hi) gives the symbols of the chunk hi: each one is a
+    lanes-long int64 array when it varies with lo and a numpy int64
+    scalar when the whole chunk shares it. The arrays that depend on lo
+    alone are decoded here, once per search.
+    """
+
+    def __init__(self, total, k, gamma, n_atoms, n_slots, n_named, n_inds):
+        self.k, self.n_inds, self.n_named = k, n_inds, n_named
+        self.n_rel = n_slots * k
+        # The low part: whole individual digits while they fit, then,
+        # once every individual digit is in, stream bits while they fit.
+        # total is k ** n_inds times a power of two, so lanes divides it.
+        self.lo_inds, self.lanes, lo_bits = 0, 1, 0
+        while self.lo_inds < n_inds and self.lanes * k <= MAX_LANES:
+            self.lo_inds += 1
+            self.lanes *= k
+        while (self.lo_inds == n_inds
+               and 2 * self.lanes <= min(total, MAX_LANES)):
+            self.lanes *= 2
+            lo_bits += 1
+        rest = np.arange(self.lanes, dtype=np.int64)
+        self.lo_assign = []
+        for _ in range(self.lo_inds):
+            self.lo_assign.append(rest % k)
+            rest = rest // k
+        # Bit fields in stream order: (offset, width, shift into the mask);
+        # field ids: named region j, then slot s's row x at s * k + x,
+        # then atom a.
+        u = k + gamma
+        fields = [(j * gamma, gamma, k) for j in range(n_named)]
+        off = n_named * gamma
+        fields += [(off + i * u, u, 0) for i in range(self.n_rel)]
+        off += self.n_rel * u
+        fields += [(off + a * k, k, 0) for a in range(n_atoms)]
+        self.lo_vals = []     # fields wholly below the split
+        self.straddle = None  # (low part, shift of its high part, high mask)
+        self.hi_fields = []   # (offset above the split, mask, shift)
+        for off, width, shift in fields:
+            mask = (1 << width) - 1
+            if off + width <= lo_bits:
+                self.lo_vals.append(((rest >> off) & mask) << shift)
+            elif off >= lo_bits:
+                self.hi_fields.append((off - lo_bits, mask, shift))
+            else:
+                self.straddle = ((rest >> off) << shift,
+                                 lo_bits - off + shift,
+                                 (1 << (off + width - lo_bits)) - 1)
+        self.n_varying = len(self.lo_vals) + (self.straddle is not None)
+
+    def fields(self, hi):
+        assign = list(self.lo_assign)
+        for _ in range(self.lo_inds, self.n_inds):
+            assign.append(np.int64(hi % self.k))
+            hi //= self.k
+        vals = list(self.lo_vals)
+        if self.straddle is not None:
+            part, shift, mask = self.straddle
+            vals.append(part | np.int64((hi & mask) << shift))
+        for off, mask, shift in self.hi_fields:
+            vals.append(np.int64(((hi >> off) & mask) << shift))
+        named = vals[:self.n_named]
+        slot_rel = vals[self.n_named:self.n_named + self.n_rel]
+        atoms = vals[self.n_named + self.n_rel:]
+        return atoms, slot_rel, named, assign
+
+    def varies(self, row, progs, bounds, enum_table) -> bool:
+        """Whether the program at row reads a symbol that varies with lo."""
+        for op, a, b, _c in progs[bounds[row, 0]:bounds[row, 1]]:
+            if op == OP_PUSH_ATOM:
+                field = self.n_named + self.n_rel + a
+            elif op == OP_PUSH_NAMED:
+                field = a
+            elif op in (OP_SLOT_COUNT, OP_SLOT_ONLY, OP_PROJ):
+                field = self.n_named + a * self.k
+            elif op == OP_PUSH_ENUM:
+                if (enum_table[a:a + b] < self.lo_inds).any():
+                    return True
+                continue
+            else:
+                continue
+            if field < self.n_varying:
+                return True
+        return False
 
 
 def _eval_numpy(row, progs, bounds, enum_table, atoms, slot_rel, named,
-                assign, k, full, grid_mask, n):
+                assign, k, full, grid_mask):
+    """Run one program over a chunk by broadcasting: a symbol constant
+    over the chunk is a scalar, and so is every result built only from
+    such symbols. slot_rel[s * k + x] is slot s's row for individual x.
+    """
     stack = []
     for pi in range(bounds[row, 0], bounds[row, 1]):
         op, a, b, c = progs[pi]
         if op == OP_PUSH_ATOM:
             stack.append(atoms[a])
         elif op == OP_PUSH_FIXED:
-            stack.append(np.full(n, a, np.int64))
+            stack.append(a)
         elif op == OP_PUSH_NAMED:
             stack.append(named[a])
         elif op == OP_PUSH_ENUM:
-            res = np.zeros(n, np.int64)
+            res = np.int64(0)
             for j in range(a, a + b):
-                res |= np.int64(1) << assign[enum_table[j]]
+                res = res | np.int64(1) << assign[enum_table[j]]
             stack.append(res)
         elif op == OP_PUSH_ALL:
-            stack.append(np.full(n, full, np.int64))
+            stack.append(full)
         elif op == OP_PUSH_NONE:
-            stack.append(np.zeros(n, np.int64))
+            stack.append(np.int64(0))
         elif op == OP_AND:
             y = stack.pop()
             stack.append(stack.pop() & y)
@@ -127,60 +207,56 @@ def _eval_numpy(row, progs, bounds, enum_table, atoms, slot_rel, named,
             stack.append(stack.pop() & ~y & full)
         elif op == OP_SLOT_COUNT:
             filler = stack.pop()
-            res = np.zeros(n, np.int64)
+            res = grid_mask if b == 0 else np.int64(0)
             for x in range(k):
-                cnt = POPCNT[slot_rel[a, x] & filler].astype(np.int64)
+                cnt = POPCNT[slot_rel[a * k + x] & filler]
                 ok = cnt >= b
                 if c >= 0:
                     ok = ok & (cnt <= c)
-                res |= ok.astype(np.int64) << x
-            if b == 0:
-                res |= grid_mask
+                res = res | ok.astype(np.int64) << x
             stack.append(res)
         elif op == OP_SLOT_ONLY:
             filler = stack.pop()
-            res = np.full(n, grid_mask, np.int64)
+            res = grid_mask
             for x in range(k):
-                ok = (slot_rel[a, x] & ~filler & full) == 0
-                res |= ok.astype(np.int64) << x
+                ok = (slot_rel[a * k + x] & ~filler & full) == 0
+                res = res | ok.astype(np.int64) << x
             stack.append(res)
         else:  # OP_PROJ
             base = stack.pop()
-            res = np.zeros(n, np.int64)
+            res = np.int64(0)
             for x in range(k):
-                has = ((base >> x) & 1).astype(bool)
-                res |= np.where(has, slot_rel[a, x], 0)
+                res = res | (-((base >> x) & 1) & slot_rel[a * k + x])
             stack.append(res & full)
     return stack[0]
 
 
 def _search_numpy(total, k, gamma, n_atoms, n_slots, n_named, n_inds,
                   n_axioms, progs, bounds, enum_table):
-    full = (1 << (k + gamma)) - 1
-    grid_mask = full & ~((1 << k) - 1)
-    chunk = 1 << 15
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        atoms, slot_rel, named, assign = _decode_chunk(
-            idx, k, gamma, n_atoms, n_slots, n_named, n_inds)
-        n = idx.shape[0]
+    full = np.int64((1 << (k + gamma)) - 1)
+    grid_mask = full & ~np.int64((1 << k) - 1)
+    chunks = _Chunks(total, k, gamma, n_atoms, n_slots, n_named, n_inds)
+    # Axioms constant over a chunk go first, so one that fails rejects
+    # the chunk before any array is computed.
+    order = sorted(range(n_axioms), key=lambda ai: any(
+        chunks.varies(row, progs, bounds, enum_table)
+        for row in (2 + 2 * ai, 3 + 2 * ai)))
+    for hi in range(total // chunks.lanes):
+        fields = chunks.fields(hi)
 
         def ev(row):
-            return _eval_numpy(row, progs, bounds, enum_table, atoms,
-                               slot_rel, named, assign, k, full, grid_mask, n)
+            return _eval_numpy(row, progs, bounds, enum_table, *fields, k,
+                               full, grid_mask)
 
-        ok = np.ones(n, bool)
-        for ai in range(n_axioms):
-            ok &= (ev(2 + 2 * ai) & ~ev(3 + 2 * ai) & full) == 0
+        ok = np.True_
+        for ai in order:
+            ok = ok & ((ev(2 + 2 * ai) & ~ev(3 + 2 * ai) & full) == 0)
             if not ok.any():
                 break
-        if ok.any():
-            viol = ok & ((ev(0) & ~ev(1) & full) != 0)
-            if viol.any():
-                return int(start + np.argmax(viol))
-        start = stop
+        else:
+            hit = ok & ((ev(0) & ~ev(1) & full) != 0)
+            if hit.any():
+                return hi * chunks.lanes + int(np.argmax(hit))
     return -1
 
 

@@ -88,17 +88,18 @@ def select_axioms(
     searched interpretations.
     """
     active = set(symbols_of(d1) | symbols_of(d2))
+    syms = [symbols_of(lhs) | symbols_of(rhs) for lhs, rhs in axioms]
+    universal = [_nonempty_when_empty(lhs) for lhs, _rhs in axioms]
     chosen = [False] * len(axioms)
     changed = True
     while changed:
         changed = False
-        for i, (lhs, rhs) in enumerate(axioms):
+        for i in range(len(axioms)):
             if chosen[i]:
                 continue
-            syms = symbols_of(lhs) | symbols_of(rhs)
-            if _nonempty_when_empty(lhs) or (syms & active):
+            if universal[i] or (syms[i] & active):
                 chosen[i] = True
-                active |= syms
+                active |= syms[i]
                 changed = True
     return [ax for i, ax in enumerate(axioms) if chosen[i]]
 

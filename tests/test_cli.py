@@ -67,6 +67,17 @@ def test_missing_file_is_usage_error(capsys):
     assert "E-IO-001" in err
 
 
+@pytest.mark.parametrize("command", ["check", "fmt"])
+def test_non_utf8_file_is_usage_error(capsys, tmp_path, command):
+    f = tmp_path / "utf16.dsr"
+    f.write_bytes(b"\xff\xfeg\x00o\x00a\x00l\x00")
+    code, out, err = run(capsys, command, str(f))
+    assert code == 2
+    assert out == ""
+    assert "E-IO-001" in err and "not UTF-8 at byte 0" in err
+    assert "Traceback" not in err
+
+
 def test_color_env(capsys, monkeypatch):
     monkeypatch.setenv("DESIREE_COLOR", "1")
     _, out, _ = run(capsys, "check", CORPUS)

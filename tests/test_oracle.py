@@ -1,11 +1,13 @@
 """Counterexample-search checks: kernels vs the reference evaluator."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from desiree.reasoner import kernels
 from desiree.reasoner.interp import witness_from_json
 from desiree.reasoner.oracle import (
+    BUDGET,
     BoundsExceeded,
     build_problem,
     decode_interpretation,
@@ -115,6 +117,16 @@ def test_unrelated_axiom_dropped():
     assert "X" not in w.interp.atoms
 
 
+def test_reversed_axiom_chain_selected_in_list_order():
+    # listed last link first, so each pass over the list reaches one
+    # more link; the unrelated axiom stays out
+    chain = [(pd(f"Y{i}"), pd(f"Y{i + 1}")) for i in range(4, 0, -1)]
+    chain.append((pd("A"), pd("Y1")))
+    stray = (pd("X"), pd("Z"))
+    axioms = chain[:2] + [stray] + chain[2:]
+    assert select_axioms(pd("A"), pd("B"), axioms) == chain
+
+
 def test_interval_widening_monotone_only_for_some():
     # the default modifier demands exactly one filler in the region, so
     # widening is not entailed: a second edge in (20, 30] breaks it
@@ -181,6 +193,83 @@ def test_kernel_matches_reference_sweep(case):
     got = kernel_first(d1, d2, axioms)
     want = scalar_first(d1, d2, axioms)
     assert got == want
+
+
+def logged_kernel(monkeypatch, d1, d2, axioms):
+    """The numpy kernel's index and, per visited chunk, the (row, came
+    out as an array) of every program run.
+
+    Fails as soon as any chunk array is longer than MAX_LANES.
+    """
+    monkeypatch.setenv("DESIREE_PURE_NUMPY", "1")
+    visits = []
+    fields, evaluate = kernels._Chunks.fields, kernels._eval_numpy
+
+    def logged_fields(self, hi):
+        out = fields(self, hi)
+        assert all(np.size(v) <= kernels.MAX_LANES
+                   for group in out for v in group)
+        visits.append([])
+        return out
+
+    def logged_eval(row, *args):
+        res = evaluate(row, *args)
+        assert np.size(res) <= kernels.MAX_LANES
+        visits[-1].append((row, np.ndim(res) > 0))
+        return res
+
+    monkeypatch.setattr(kernels._Chunks, "fields", logged_fields)
+    monkeypatch.setattr(kernels, "_eval_numpy", logged_eval)
+    return kernel_first(d1, d2, axioms), visits
+
+
+EIGHT = "{a, b, c, d, e, f, g, h}"
+
+CHUNK_CASES = {
+    "witness past the first chunk":
+        ("A", "B | {a}", [("A", "<s: SOME Anything>")]),
+    "straddling field": ("<s: SOME A>", "<s: A>", []),
+    "exhaustive over chunks": ("<s: =2 A>", "<s: SOME A>", []),
+    "chunk killed by a constant axiom":
+        ("A", EIGHT, [("{a} A", "A"), ("{i}", "A")]),
+    "more individual digits than fit":
+        ("A", "{i} | B " + EIGHT, []),
+}
+
+
+@pytest.mark.parametrize("name", CHUNK_CASES)
+def test_chunked_kernel_matches_reference(monkeypatch, name):
+    d1, d2, axioms = CHUNK_CASES[name]
+    d1, d2 = pd(d1), pd(d2)
+    axioms = [(pd(lhs), pd(rhs)) for lhs, rhs in axioms]
+    assert select_axioms(d1, d2, axioms) == axioms
+    got, visits = logged_kernel(monkeypatch, d1, d2, axioms)
+    assert got == scalar_first(d1, d2, axioms, limit=BUDGET)
+    table, total, *_ = build_problem(d1, d2, axioms)
+    chunks = kernels._Chunks(total, table.k, table.gamma, len(table.atoms),
+                             len(table.slots), len(table.named),
+                             len(table.inds))
+    assert chunks.lanes <= kernels.MAX_LANES
+    assert total >= 3 * chunks.lanes
+    if name == "witness past the first chunk":
+        assert got // chunks.lanes >= 2
+    elif name == "straddling field":
+        # the witness sets bits of the straddling field on both sides
+        part, _shift, mask = chunks.straddle
+        assert part[got % chunks.lanes] and got // chunks.lanes & mask
+    elif name == "exhaustive over chunks":
+        assert got == -1
+        assert len(visits) == total // chunks.lanes
+    elif name == "chunk killed by a constant axiom":
+        assert got // chunks.lanes >= 3
+        killed = [v for v in visits if not any(arr for _row, arr in v)]
+        assert len(killed) >= 3
+        assert all(row >= 2 for v in killed for row, _arr in v)
+    else:
+        assert table.k ** len(table.inds) > kernels.MAX_LANES
+        assert chunks.lo_inds < len(table.inds)
+        # the witness needs i, the digit above the split, off element 0
+        assert got // chunks.lanes % table.k != 0
 
 
 @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
