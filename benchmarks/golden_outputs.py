@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""One digest over desiree's command-line output on a fixed command set.
+
+A change that must not alter any output (a refactor, a speed-up) can be
+checked by running this script at both commits and comparing the line
+it prints. It runs, in-process through `desiree.cli.main`:
+
+- `check`, `check --json`, `stats --json`, `export --format json` and
+  `fmt` on both bundled corpus files and on every extra model path
+  given on the command line;
+- `query` and `query --lenient --json` on both corpus files, for each
+  query of `CORPUS_QUERIES` in `perfbench/workloads.py`;
+- `entail --json` on both corpus files, for every ordered pair of
+  element ids.
+
+It prints the number of commands and one sha256 over the
+(argv, exit status, stdout, stderr) of each, in order. Every model path
+is written relative to the checkout root when it lies inside it, else
+relative to the working directory, so two checkouts in different
+directories give the same digest. Run from anywhere:
+
+    python3 benchmarks/golden_outputs.py [EXTRA.dsr ...]
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from desiree import cli  # noqa: E402
+from desiree.model import load_model  # noqa: E402
+from workloads import CORPUS_QUERIES  # noqa: E402
+
+CORPUS_DIR = ROOT / "src" / "desiree" / "corpus"
+CORPORA = [CORPUS_DIR / "meeting_scheduler.dsr",
+           CORPUS_DIR / "meeting_scheduler_clean.dsr"]
+MODEL_COMMANDS = [["check"], ["check", "--json"], ["stats", "--json"],
+                  ["export", "--format", "json"], ["fmt"]]
+
+
+def shown(path: Path) -> str:
+    path = path.resolve()
+    if path.is_relative_to(ROOT):
+        return str(path.relative_to(ROOT))
+    return os.path.relpath(path)
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def commands(extra: list[Path]):
+    """(model path, argv after the command name's file argument) pairs."""
+    for path in CORPORA + extra:
+        for cmd in MODEL_COMMANDS:
+            yield path, cmd[:1] + [str(path)] + cmd[1:]
+    for path in CORPORA:
+        for query, _proved, _holds in CORPUS_QUERIES:
+            yield path, ["query", str(path), query]
+            yield path, ["query", str(path), query, "--lenient", "--json"]
+        ids = list(load_model(path.read_text(encoding="utf-8")).elements)
+        for a in ids:
+            for b in ids:
+                yield path, ["entail", str(path), a, b, "--json"]
+
+
+def main(argv: list[str]) -> int:
+    extra = [Path(p) for p in argv]
+    digest = hashlib.sha256()
+    count = 0
+    for path, cmd in commands(extra):
+        status, out, err = run(cmd)
+        full, rel = str(path), shown(path)
+        record = [[rel if a == full else a for a in cmd], status,
+                  out.replace(full, rel), err.replace(full, rel)]
+        digest.update(json.dumps(record).encode("utf-8") + b"\n")
+        count += 1
+    print(f"{count} commands sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -3,7 +3,8 @@
 Output is deterministic: identical inputs print identical bytes, so the
 commands are safe to diff in CI. Diagnostics go to stderr, results to
 stdout. Exit codes: 0 clean, 1 error-level diagnostics, 2 usage or IO
-failure.
+failure, 3 internal error (a defect in desiree, reported on one stderr
+line, never as a traceback).
 """
 
 from __future__ import annotations
@@ -282,12 +283,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit status is 0 clean, 1 model errors,
+    2 usage or IO failure, 3 internal error."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        message = " ".join(str(err).split())
+        print(f"internal error: {type(err).__name__}: {message}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

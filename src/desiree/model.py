@@ -539,16 +539,17 @@ def _construct(m, app, prim, fail):
 
 
 def _commit(m: Model, app: ApplicationDecl, outs: list[Element]):
+    # Neither a constructed output nor an input that resolve drops is a
+    # domain assumption (operators.REFINABLE excludes "da"), so neither
+    # changes the theory that Model.context() reads; the context stays.
     if app.op in ops.CONSTRUCTIVE:
         for e in outs:
             m.elements[e.ident] = e
-        m.invalidate()
     elif app.op == "resolve":
         kept = {o.ident for o in outs}
         for ident in app.inputs:
             if ident not in kept:
                 m.elements[ident].active = False
-        m.invalidate()
 
 
 def _verdict(m: Model, app: ApplicationDecl, prim: Element,

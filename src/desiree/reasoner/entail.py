@@ -199,7 +199,8 @@ def constraint_entails(b1: SubsumptionBody, b2: SubsumptionBody,
     except DnfOverflow:
         overflow = True
     try:
-        w = oracle_disprove(b2.lhs, b2.rhs, ctx.axiom_pairs() + [assumed])
+        w = oracle_disprove(b2.lhs, b2.rhs,
+                            ctx.axiom_index().extended(assumed))
     except BoundsExceeded as e:
         return Unknown(f"inconclusive: {e}")
     if w is not None:

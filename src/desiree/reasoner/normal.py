@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from desiree.reasoner.oracle import AxiomIndex
 from desiree.reasoner.regions import (
     region_subset,
     regions_certainly_disjoint,
@@ -37,7 +38,12 @@ def _side_name(d: ast.Description) -> str | None:
 
 @dataclass
 class ReasonerContext:
-    """Background theory plus caches shared across queries."""
+    """Background theory plus caches shared across queries.
+
+    A context is built once per theory and kept as long as the theory
+    does not change; its caches (the structural memo, the search index
+    and its memo) live as long as it does.
+    """
 
     axioms: list[tuple[ast.Description, ast.Description]] = field(
         default_factory=list)
@@ -55,6 +61,11 @@ class ReasonerContext:
                 self.region_edges.append((n1, n2))
         self.disjoint_pairs = {frozenset(p) for p in self.disjoints}
         self.memo: dict = {}
+        # structural_subsumes' open queries (to their depth) and the
+        # outermost depth whose cycle guard the current query has read
+        self.open_queries: dict = {}
+        self.guard_read = 0
+        self._index: AxiomIndex | None = None
 
     def axiom_pairs(self) -> list[tuple[ast.Description, ast.Description]]:
         """Axioms plus disjointness constraints, for the model search."""
@@ -62,6 +73,12 @@ class ReasonerContext:
         for a, b in self.disjoints:
             out.append((ast.And(ast.Atom(a), ast.Atom(b)), ast.NOTHING))
         return out
+
+    def axiom_index(self) -> AxiomIndex:
+        """axiom_pairs() indexed for the model search, built at first use."""
+        if self._index is None:
+            self._index = AxiomIndex(self.axiom_pairs())
+        return self._index
 
 
 @dataclass
@@ -265,19 +282,37 @@ def structural_subsumes(
     d2: ast.Description,
     ctx: ReasonerContext,
 ) -> bool:
-    """Sound proof search; False means unproven, never refuted."""
+    """Sound proof search; False means unproven, never refuted.
+
+    A query met again while it is still open counts as unproven (the
+    cycle guard): a finite proof never needs itself. A result that read
+    the guard of a query opened further out may change once that query
+    is answered, so it is not memoized, and a search that raises leaves
+    nothing behind. The memo thus holds only what a search with an empty
+    memo would answer, and may live as long as the theory.
+    """
     key = (d1, d2)
     if key in ctx.memo:
         return ctx.memo[key]
-    ctx.memo[key] = False  # cycle guard: in-progress queries stay unproven
-    nf1 = []
-    for c in translate(d1, ctx):
-        e = enrich(c, ctx)
-        if e is not None:
-            nf1.append(e)
-    nf2 = translate(d2, ctx)
-    result = all(any(_conj_leq(c, d, ctx) for d in nf2) for c in nf1)
-    ctx.memo[key] = result
+    if key in ctx.open_queries:
+        ctx.guard_read = min(ctx.guard_read, ctx.open_queries[key])
+        return False
+    depth = ctx.open_queries[key] = len(ctx.open_queries)
+    outer, ctx.guard_read = ctx.guard_read, depth
+    try:
+        nf1 = []
+        for c in translate(d1, ctx):
+            e = enrich(c, ctx)
+            if e is not None:
+                nf1.append(e)
+        nf2 = translate(d2, ctx)
+        result = all(any(_conj_leq(c, d, ctx) for d in nf2) for c in nf1)
+    finally:
+        del ctx.open_queries[key]
+        read = ctx.guard_read
+        ctx.guard_read = min(outer, read)
+    if read >= depth:
+        ctx.memo[key] = result
     return result
 
 

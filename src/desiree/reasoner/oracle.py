@@ -10,6 +10,16 @@ The universe has k abstract individuals plus a grid of value points
 built from every numeric boundary mentioned (boundaries, midpoints, one
 point past each end) and every literal (plus one fresh literal). k is
 the largest of 3, 2, 1 whose full enumeration fits the budget.
+
+Each ReasonerContext keeps one AxiomIndex of its theory, built at its
+first search: every axiom's symbol set, whether its left side is
+universal, and a map from symbol to axioms. Selecting the axioms of a
+search walks that map from the pair's symbols instead of the whole
+theory. The index also carries the search memo: the kernel's answer
+per compiled problem (every argument of kernels.find_violation), so
+searches that differ only in symbol names run the kernel once. Both
+live as long as the context, which the model keeps until its theory
+changes; nothing is kept across processes.
 """
 from __future__ import annotations
 
@@ -75,33 +85,84 @@ def _nonempty_when_empty(d: ast.Description) -> bool:
     return False
 
 
+class AxiomIndex:
+    """The axioms of one theory, indexed for select_axioms.
+
+    Holds each axiom's symbol set, which axioms are universal (their left
+    side may be nonempty with every symbol empty), and a map from each
+    symbol to the positions of the axioms that mention it. `memo` maps a
+    compiled search problem to the kernel's answer; an index made by
+    `extended` shares it.
+    """
+
+    def __init__(self, axioms: list[AxiomPair] | tuple[AxiomPair, ...] = ()):
+        self.axioms: list[AxiomPair] = []
+        self.syms: list[frozenset[str]] = []
+        self.universal: list[int] = []
+        self.by_symbol: dict[str, list[int]] = {}
+        self.memo: dict = {}
+        for ax in axioms:
+            self._add(ax)
+
+    def _add(self, axiom: AxiomPair) -> None:
+        lhs, rhs = axiom
+        i = len(self.axioms)
+        self.axioms.append(axiom)
+        self.syms.append(symbols_of(lhs) | symbols_of(rhs))
+        if _nonempty_when_empty(lhs):
+            self.universal.append(i)
+        for s in self.syms[i]:
+            self.by_symbol.setdefault(s, []).append(i)
+
+    def extended(self, axiom: AxiomPair) -> "AxiomIndex":
+        """This index plus one axiom at the end, sharing the memo.
+
+        Only the position lists of the new axiom's symbols are copied;
+        the theory's axioms are not walked again.
+        """
+        new = AxiomIndex()
+        new.axioms = list(self.axioms)
+        new.syms = list(self.syms)
+        new.universal = list(self.universal)
+        new.by_symbol = dict(self.by_symbol)
+        new.memo = self.memo
+        lhs, rhs = axiom
+        for s in symbols_of(lhs) | symbols_of(rhs):
+            new.by_symbol[s] = list(self.by_symbol.get(s, ()))
+        new._add(axiom)
+        return new
+
+
 def select_axioms(
     d1: ast.Description,
     d2: ast.Description,
-    axioms: list[AxiomPair],
+    axioms: list[AxiomPair] | AxiomIndex,
 ) -> list[AxiomPair]:
-    """The axioms that can matter for separating d1 from d2.
+    """The axioms that can matter for separating d1 from d2, in order.
 
     An axiom is kept when it shares symbols (transitively) with the pair
     under test, or when its left side can be nonempty even with all of
     its symbols uninterpreted; every other axiom holds vacuously in the
-    searched interpretations.
+    searched interpretations. The kept set is found by a walk from the
+    pair's symbols and the universal axioms' symbols over the index; a
+    plain list is indexed first.
     """
-    active = set(symbols_of(d1) | symbols_of(d2))
-    syms = [symbols_of(lhs) | symbols_of(rhs) for lhs, rhs in axioms]
-    universal = [_nonempty_when_empty(lhs) for lhs, _rhs in axioms]
-    chosen = [False] * len(axioms)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(axioms)):
-            if chosen[i]:
-                continue
-            if universal[i] or (syms[i] & active):
-                chosen[i] = True
-                active |= syms[i]
-                changed = True
-    return [ax for i, ax in enumerate(axioms) if chosen[i]]
+    index = axioms if isinstance(axioms, AxiomIndex) else AxiomIndex(axioms)
+    chosen = set(index.universal)
+    todo = list(symbols_of(d1) | symbols_of(d2))
+    for i in index.universal:
+        todo.extend(index.syms[i])
+    seen: set[str] = set()
+    while todo:
+        s = todo.pop()
+        if s in seen:
+            continue
+        seen.add(s)
+        for i in index.by_symbol.get(s, ()):
+            if i not in chosen:
+                chosen.add(i)
+                todo.extend(index.syms[i])
+    return [index.axioms[i] for i in sorted(chosen)]
 
 
 def _census(descs: list[ast.Description]):
@@ -241,20 +302,29 @@ def decode_interpretation(idx: int, table: SymbolTable) -> Interpretation:
 def oracle_disprove(
     d1: ast.Description,
     d2: ast.Description,
-    axioms: list[AxiomPair] | tuple[AxiomPair, ...] = (),
+    axioms: list[AxiomPair] | tuple[AxiomPair, ...] | AxiomIndex = (),
 ) -> Witness | None:
     """Search for an axiom-respecting model where d1 is not within d2.
 
     Returns a replayable Witness, or None when the bounded search is
     exhausted without a hit. Raises BoundsExceeded when the problem does
     not fit the budget, so the caller must fall back to Unknown.
+
+    Given an AxiomIndex, the kernel's answer is remembered in its memo,
+    keyed by the compiled problem, and a later search that compiles to
+    the same problem skips the kernel. Its witness is still decoded
+    with its own symbol table and replayed.
     """
-    selected = select_axioms(d1, d2, list(axioms))
+    index = axioms if isinstance(axioms, AxiomIndex) else AxiomIndex(axioms)
+    selected = select_axioms(d1, d2, index)
     table, total, progs, bounds, enum_table = build_problem(d1, d2, selected)
-    idx = kernels.find_violation(
-        total, table.k, table.gamma, len(table.atoms), len(table.slots),
-        len(table.named), len(table.inds), len(selected), progs, bounds,
-        enum_table)
+    args = (total, table.k, table.gamma, len(table.atoms), len(table.slots),
+            len(table.named), len(table.inds), len(selected))
+    key = args + (progs.tobytes(), bounds.tobytes(), enum_table.tobytes())
+    idx = index.memo.get(key)
+    if idx is None:
+        idx = kernels.find_violation(*args, progs, bounds, enum_table)
+        index.memo[key] = idx
     if idx < 0:
         return None
     interp = decode_interpretation(idx, table)

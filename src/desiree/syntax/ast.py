@@ -178,18 +178,28 @@ def modifier_bounds(mod: CardModifier) -> tuple[int, int | None]:
 
 def and_parts(d: Description) -> list[Description]:
     """Flatten nested And into a conjunct list (left to right)."""
-    if isinstance(d, And):
-        return and_parts(d.left) + and_parts(d.right)
-    return [d]
+    out = []
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            out.append(node)
+    return out
 
 
 def walk(d: Description):
-    """Yield every node of a description, preorder."""
-    yield d
-    if isinstance(d, Slot):
-        yield from walk(d.filler)
-    elif isinstance(d, Proj):
-        yield from walk(d.base)
-    elif isinstance(d, (And, Or, Diff)):
-        yield from walk(d.left)
-        yield from walk(d.right)
+    """Yield every node of a description, preorder, left to right."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Slot):
+            stack.append(node.filler)
+        elif isinstance(node, Proj):
+            stack.append(node.base)
+        elif isinstance(node, (And, Or, Diff)):
+            stack.append(node.right)
+            stack.append(node.left)

@@ -78,6 +78,27 @@ def test_non_utf8_file_is_usage_error(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+DEEP_INPUTS = {
+    "3000 nested parentheses": "f F1 = " + "(" * 3000 + "A" + ")" * 3000,
+    "600-term conjunction": "f F1 = " + " and ".join(
+        f"A{i}" for i in range(600)),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_INPUTS)
+def test_internal_error_has_its_own_status(capsys, tmp_path, name):
+    # Both inputs exhaust the parser's recursion; that is a defect, not
+    # an error in the model, so it must not exit 1 or print a traceback.
+    f = tmp_path / "deep.dsr"
+    f.write_text(DEEP_INPUTS[name] + ".\n")
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: RecursionError: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_color_env(capsys, monkeypatch):
     monkeypatch.setenv("DESIREE_COLOR", "1")
     _, out, _ = run(capsys, "check", CORPUS)

@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 from desiree.model import load_model
+from desiree.reasoner.normal import ReasonerContext
 from desiree.syntax import ast
 
 F = Fraction
@@ -263,6 +264,52 @@ def test_qualitative_scaling_adds_region_axiom():
     assert (ast.Region(ast.Named("Fast")),
             ast.Region(ast.Named("Nearly Fast"))) in m.axioms
     assert m.applications[0].verdict == "verified"
+
+
+def count_contexts(monkeypatch):
+    """A list that gets one entry per ReasonerContext built."""
+    built = []
+    post_init = ReasonerContext.__post_init__
+
+    def counted(self):
+        built.append(len(self.axioms))
+        post_init(self)
+
+    monkeypatch.setattr(ReasonerContext, "__post_init__", counted)
+    return built
+
+
+def test_context_outlives_constructive_applications(monkeypatch):
+    built = count_contexts(monkeypatch)
+    m = load("qc QC = Response_time ({sys}) :: [0, 30 Sec].\n"
+             "scaleup(QC, (1, 2/3)) [s] = {QC_t}.\n"
+             "scaledown(QC, (1, 6/5)) [w] = {QC_r}.\n"
+             "reduce(QC_t) [s] = {QC_r}.")
+    assert [a.verdict for a in m.applications] == ["verified"] * 2 + [
+        "violated"]
+    assert built == [0]
+
+
+def test_implied_region_axiom_renews_the_context(monkeypatch):
+    # The scaleup claim builds the context before the implied
+    # Fast :< Nearly Fast edge exists; both claims after it need the edge.
+    built = count_contexts(monkeypatch)
+    m = load("qg QG = Processing_time (F1) :: Fast.\n"
+             'qg QG_b = Processing_time (F1) :: "Nearly Fast".\n'
+             "qc QC = Response_time ({sys}) :: [0, 30 Sec].\n"
+             "scaleup(QC, (1, 2/3)) [s] = {QC_t}.\n"
+             "scaledown(QG, Nearly) [w] = {QG_n}.\n"
+             "reduce(QG) [w] = {QG_b}.")
+    assert codes(m) == []
+    assert [a.verdict for a in m.applications] == ["verified"] * 3
+    assert built == [0, 1]
+
+
+def test_corpus_builds_at_most_two_contexts(monkeypatch):
+    built = count_contexts(monkeypatch)
+    m = load(corpus("meeting_scheduler.dsr"))
+    assert m.ok
+    assert 1 <= len(built) <= 2
 
 
 def test_construction_rejects_taken_name():

@@ -3,16 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from desiree.reasoner import kernels
 from desiree.reasoner.interp import witness_from_json
+from desiree.reasoner.normal import ReasonerContext
 from desiree.reasoner.oracle import (
     BUDGET,
     BoundsExceeded,
+    _nonempty_when_empty,
     build_problem,
     decode_interpretation,
     oracle_disprove,
     select_axioms,
+    symbols_of,
 )
 from desiree.reasoner.semantics import (
     replay_witness,
@@ -21,6 +26,8 @@ from desiree.reasoner.semantics import (
 )
 from desiree.syntax import ast
 from desiree.syntax.parser import parse_description as pd
+
+from gen_strategies import descriptions
 
 
 def scalar_first(d1, d2, axioms, limit=10000):
@@ -125,6 +132,103 @@ def test_reversed_axiom_chain_selected_in_list_order():
     stray = (pd("X"), pd("Z"))
     axioms = chain[:2] + [stray] + chain[2:]
     assert select_axioms(pd("A"), pd("B"), axioms) == chain
+
+
+def select_reference(d1, d2, axioms):
+    """The fixpoint that select_axioms must reach: keep an axiom once it
+    is universal or shares a symbol with the pair or a kept axiom."""
+    active = set(symbols_of(d1) | symbols_of(d2))
+    chosen = [False] * len(axioms)
+    changed = True
+    while changed:
+        changed = False
+        for i, (lhs, rhs) in enumerate(axioms):
+            syms = symbols_of(lhs) | symbols_of(rhs)
+            if not chosen[i] and (_nonempty_when_empty(lhs)
+                                  or syms & active):
+                chosen[i] = True
+                active |= syms
+                changed = True
+    return [ax for i, ax in enumerate(axioms) if chosen[i]]
+
+
+UNIVERSAL_SIDES = [ast.ANYTHING, pd("<s: <=1 A>"), pd("Anything - B"),
+                   pd("{a}"), pd("<t: ONLY C>")]
+
+
+axiom_sides = st.recursive(
+    st.one_of(st.sampled_from("ABCDEFG").map(ast.Atom),
+              st.sampled_from(["a", "b"]).map(lambda x: ast.Enum((x,)))),
+    lambda sub: st.one_of(
+        st.builds(ast.And, sub, sub),
+        st.builds(ast.Slot, st.sampled_from(["s", "t"]),
+                  st.just(ast.ExactlyOne()), sub)),
+    max_leaves=3)
+axioms_of = st.tuples(st.one_of(axiom_sides, st.sampled_from(UNIVERSAL_SIDES)),
+                      axiom_sides)
+
+
+@st.composite
+def axiom_theories(draw):
+    """Random axioms, some with universal left sides, with a chain
+    Y0 :< Y1 :< ... spliced in last link first."""
+    axioms = draw(st.lists(axioms_of, max_size=16))
+    n = draw(st.integers(0, 5))
+    spots = sorted(draw(st.lists(st.integers(0, len(axioms)),
+                                 min_size=n, max_size=n)))
+    for j, at in enumerate(spots):
+        i = n - 1 - j
+        axioms.insert(at + j, (ast.Atom(f"Y{i}"), ast.Atom(f"Y{i + 1}")))
+    return axioms
+
+
+pair_sides = st.one_of(descriptions(max_depth=2), st.just(ast.Atom("Y0")))
+
+
+@given(pair_sides, pair_sides, axiom_theories(),
+       st.lists(axioms_of, max_size=3))
+def test_indexed_selection_matches_the_fixpoint(d1, d2, axioms, more):
+    assert select_axioms(d1, d2, axioms) == select_reference(d1, d2, axioms)
+    # a context's index, extended by one assumed axiom, selects as a
+    # fresh list with that axiom appended would, and leaves the base as
+    # it was
+    ctx = ReasonerContext(axioms=axioms, disjoints=[("A", "B")])
+    base = ctx.axiom_index()
+    for assumed in more:
+        ext = base.extended(assumed)
+        assert ext.memo is base.memo
+        assert select_axioms(d1, d2, ext) == select_reference(
+            d1, d2, ctx.axiom_pairs() + [assumed])
+    assert select_axioms(d1, d2, base) == select_reference(
+        d1, d2, ctx.axiom_pairs())
+
+
+def test_renamed_pair_reuses_the_search(monkeypatch):
+    calls = []
+    search = kernels.find_violation
+
+    def counted(*args):
+        calls.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(kernels, "find_violation", counted)
+    axioms = [(pd("A"), pd("B")), (pd("P"), pd("Q"))]
+    ctx = ReasonerContext(axioms=axioms)
+    w1 = oracle_disprove(pd("A"), pd("C"), ctx.axiom_index())
+    assert len(calls) == 1
+    # P, Q, R sit where A, B, C did: the same compiled problem
+    w2 = oracle_disprove(pd("P"), pd("R"), ctx.axiom_index())
+    assert len(calls) == 1
+    assert set(w1.interp.atoms) == {"A", "B", "C"}
+    assert set(w2.interp.atoms) == {"P", "Q", "R"}
+    assert (w2.d1_text, w2.d2_text) == ("P", "R")
+    assert replay_witness(w2)
+    assert satisfies_axioms(w2.interp, axioms)
+    # the memo belongs to the context
+    fresh = ReasonerContext(axioms=axioms)
+    w3 = oracle_disprove(pd("P"), pd("R"), fresh.axiom_index())
+    assert len(calls) == 2
+    assert w3.to_json() == w2.to_json()
 
 
 def test_interval_widening_monotone_only_for_some():

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from desiree.reasoner.normal import DnfOverflow, ReasonerContext, translate
+from desiree.reasoner.normal import (
+    DnfOverflow,
+    ReasonerContext,
+    structural_subsumes,
+    translate,
+)
 from desiree.reasoner.semantics import replay_witness
 from desiree.reasoner.subsume import subsumes
 from desiree.reasoner.verdict import Disproved, Proved, Unknown
@@ -134,6 +139,30 @@ def test_dnf_cap_turns_unknown():
     assert "normal form" in v.reason
     wide = ReasonerContext(max_dnf=32)
     assert proved(atoms, atoms, wide)
+
+
+def test_overflow_leaves_no_memo_entry():
+    # a search that raised is not an answer: asking again raises again
+    ctx = ReasonerContext(max_dnf=1)
+    d = pd("(A | B) <s: C>")
+    for _ in range(2):
+        with pytest.raises(DnfOverflow):
+            structural_subsumes(d, d, ctx)
+
+
+def test_memo_answers_as_a_fresh_context():
+    # Proving k reaches k2, which needs k back: k2 reads k's cycle guard
+    # and comes out unproven, then k is proved through W. Asked next, k2
+    # holds through the now proved k, as it does in a fresh context.
+    axioms = [(pd("X"), pd("<s: <=1 <t: <=1 X>>")),
+              (pd("X"), pd("W")),
+              (pd("Q"), pd("<t: <=1 (<s: <=1 Q> | W)>"))]
+    k = (pd("X"), pd("<s: <=1 Q> | W"))
+    k2 = (pd("Q"), pd("<t: <=1 X>"))
+    ctx = ReasonerContext(axioms=axioms)
+    assert structural_subsumes(*k, ctx)
+    assert structural_subsumes(*k2, ctx)
+    assert structural_subsumes(*k2, ReasonerContext(axioms=axioms))
 
 
 def test_translate_bottom_shapes():

@@ -6,6 +6,7 @@ the implementation was written.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from desiree.syntax import ast
 from desiree.syntax.lexer import tokenize, LexError
@@ -20,6 +21,8 @@ from desiree.syntax.parser import (
     parse_description,
     parse_model_file,
 )
+
+from gen_strategies import descriptions
 
 
 class TestLexer:
@@ -257,3 +260,62 @@ class TestParseModelFile:
     def test_empty_outputs(self):
         out = parse_model_file("resolve(G1, G2) [w] = {}.\n")
         assert out.declarations[0].outputs == ()
+
+
+class TestWalkers:
+    """ast.walk and ast.and_parts keep the order of a recursive walk and
+    stay within the stack on deep trees."""
+
+    @staticmethod
+    def walk_reference(d):
+        yield d
+        if isinstance(d, ast.Slot):
+            yield from TestWalkers.walk_reference(d.filler)
+        elif isinstance(d, ast.Proj):
+            yield from TestWalkers.walk_reference(d.base)
+        elif isinstance(d, (ast.And, ast.Or, ast.Diff)):
+            yield from TestWalkers.walk_reference(d.left)
+            yield from TestWalkers.walk_reference(d.right)
+
+    @staticmethod
+    def and_parts_reference(d):
+        if isinstance(d, ast.And):
+            return (TestWalkers.and_parts_reference(d.left)
+                    + TestWalkers.and_parts_reference(d.right))
+        return [d]
+
+    @given(descriptions(max_depth=3))
+    def test_small_trees_match_the_recursive_walkers(self, d):
+        got = list(ast.walk(d))
+        want = list(self.walk_reference(d))
+        assert [id(n) for n in got] == [id(n) for n in want]
+        got = ast.and_parts(d)
+        want = self.and_parts_reference(d)
+        assert [id(n) for n in got] == [id(n) for n in want]
+
+    def test_deep_and_chain(self):
+        n = 10_000
+        left = ast.Atom("A0")
+        right = ast.Atom(f"A{n}")
+        for i in range(1, n + 1):
+            left = ast.And(left, ast.Atom(f"A{i}"))
+        for i in range(n - 1, -1, -1):
+            right = ast.And(ast.Atom(f"A{i}"), right)
+        names = [f"A{i}" for i in range(n + 1)]
+        for chain in (left, right):
+            assert [p.name for p in ast.and_parts(chain)] == names
+            atoms = [x.name for x in ast.walk(chain)
+                     if isinstance(x, ast.Atom)]
+            assert atoms == names
+
+    def test_deep_slot_nest(self):
+        n = 10_000
+        d = ast.Atom("Core")
+        for i in range(n):
+            d = ast.Slot(f"s{i}", ast.ExactlyOne(), d)
+        nodes = list(ast.walk(d))
+        assert len(nodes) == n + 1
+        assert [x.slot for x in nodes[:-1]] == [
+            f"s{i}" for i in range(n - 1, -1, -1)]
+        assert nodes[-1].name == "Core"
+        assert ast.and_parts(d) == [d]
