@@ -6,6 +6,7 @@ identical inputs always print identical diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Severity levels.
 ERROR = "Error"
@@ -36,9 +37,12 @@ W_DNF = "W-DNF-001"          # normal form disjunct cap exceeded
 E_IO = "E-IO-001"            # unreadable file / usage problem
 
 
-@dataclass(frozen=True)
-class Span:
-    """1-based source position of a token or construct."""
+class Span(NamedTuple):
+    """1-based source position of a token or construct.
+
+    A tuple, so it unpacks as (line, col) like the plain pairs the lexer
+    hands to its tokens (see `syntax.lexer.Token`).
+    """
 
     line: int
     col: int

@@ -4,10 +4,29 @@ Tokens carry 1-based source spans. `//` comments run to end of line.
 A dot token records whether it was glued to its neighbours, which is how
 the parser tells projection dots (`F1.object`) from declaration
 terminators (`... .`).
+
+The scan is one compiled regex, `_TOKEN_RE`, whose alternatives are
+tried in order at each position: newline runs, other whitespace and
+comments, identifiers, symbols (longest first), numbers, strings,
+`?`-variables, and a one-character catch-all. `findall` cuts the whole
+text into matches in one call; the first character of a match tells
+which alternative it is (`_START`, `_start_kind`), and a catch-all match
+raises the LexError the grammar calls for at that place.
+
+Offsets are the running sum of match lengths. Only newline runs move
+the line count: strings and comments cannot hold a newline, so a
+token's column is its offset from the start of its line, plus one.
+
+Whitespace is exactly space, tab, carriage return and newline. An
+identifier starts with a character for which `str.isalpha()` holds, or
+`_`, and goes on with `str.isalnum()` characters or `_` (regex `\\w` is
+exactly that). A number starts with a Unicode decimal digit (category
+Nd, regex `\\d`: the digits `Fraction` reads); other digits such as `²`
+are unexpected characters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from desiree.diagnostics import Span
@@ -20,8 +39,39 @@ VAR = "VAR"
 SYM = "SYM"  # punctuation; the text field holds the symbol itself
 EOF = "EOF"
 
-_SYMBOLS = ("::", ":<", "<=", ">=", "<", ">", ":", "{", "}", "(", ")",
-            "[", "]", ",", ".", "|", "&", "-", "=", "%", "/")
+_TOKEN_RE = re.compile(r"""
+    \n+                                  # newline run
+  | (?:[ \t\r]|//[^\n]*)+                # other whitespace and comments
+  | [^\W\d]\w*                           # identifier, or `½`, `²`: see _start_kind
+  | ::|:<|<=|>=|[<>:{}()\[\],.|&\-=%/]   # symbol
+  | \d+(?:\.\d+)?                        # number
+  | "(?:[^"\\\n]|\\.)*"                  # string
+  | \?[^\W\d]\w*                         # variable
+  | .                                    # anything else: an error
+""", re.VERBOSE)
+
+# Kinds of match that make no token.
+_NEWLINE = "newline"
+_SPACE = "space"
+_SLASH = "slash"  # the `/` symbol, or a comment
+_BAD = "bad"
+
+# The kind of match each ASCII character starts; `_start_kind` covers
+# the rest.
+_START = {
+    "\n": _NEWLINE,
+    **dict.fromkeys(" \t\r", _SPACE),
+    "/": _SLASH,
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz"
+                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ_", IDENT),
+    **dict.fromkeys("<>:{}()[],.|&-=%", SYM),
+    **dict.fromkeys("0123456789", NUMBER),
+    '"': STRING,
+    "?": VAR,
+}
+
+_ESCAPE_RE = re.compile(r'\\(["\\])')
+_UNGLUED = frozenset(("", " ", "\t", "\r", "\n"))
 
 
 class LexError(Exception):
@@ -31,127 +81,111 @@ class LexError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    text: str
-    span: Span
-    value: object = None  # Fraction for NUMBER, unescaped str for STRING
-    glued_left: bool = False
-    glued_right: bool = False
+    """One token: kind, text, span, value (a Fraction for NUMBER, the
+    unescaped str for STRING) and the two glue flags.
+
+    `span` may be given as a Span or any (line, col) pair. A token keeps
+    the two ints and builds its Span when `span` is read; the parser
+    reads about one span in seven tokens. A Span per token doubled the
+    objects the cyclic garbage collector tracks while a model is lexed,
+    and the collector's pauses came to nearly half of the lexer's time.
+    """
+
+    __slots__ = ("kind", "text", "_line", "_col", "value", "glued_left",
+                 "glued_right")
+
+    def __init__(self, kind: str, text: str, span: tuple[int, int],
+                 value: object = None, glued_left: bool = False,
+                 glued_right: bool = False):
+        self.kind = kind
+        self.text = text
+        self._line, self._col = span
+        self.value = value
+        self.glued_left = glued_left
+        self.glued_right = glued_right
+
+    @property
+    def span(self) -> Span:
+        return Span(self._line, self._col)
+
+    def _astuple(self) -> tuple:
+        return (self.kind, self.text, self._line, self._col, self.value,
+                self.glued_left, self.glued_right)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return (f"Token(kind={self.kind!r}, text={self.text!r}, "
+                f"span={self.span!r}, value={self.value!r}, "
+                f"glued_left={self.glued_left!r}, "
+                f"glued_right={self.glued_right!r})")
 
     def is_sym(self, s: str) -> bool:
         return self.kind == SYM and self.text == s
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+def _start_kind(ch: str) -> str:
+    """The kind of match a character outside `_START` starts."""
+    if ch.isalpha():
+        return IDENT
+    if ch.isdecimal():
+        return NUMBER
+    return _BAD
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize `text`, raising LexError on malformed input."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(text)
-
-    def span() -> Span:
-        return Span(line, col)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        # Whitespace.
-        if ch in " \t\r\n":
-            advance(1)
+    line_start = 0  # offset of the current line's first character
+    end = 0  # offset just past the current match
+    glued = False  # the previous match made a token
+    numbers: dict[str, Fraction] = {}  # a model repeats few literals
+    for lit in _TOKEN_RE.findall(text):
+        start = end
+        end += len(lit)
+        kind = _START.get(lit[0]) or _start_kind(lit[0])
+        if kind == _SLASH:
+            kind = SYM if lit == "/" else _SPACE
+        if kind == _SPACE:
+            glued = False
             continue
-        # Comments.
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                advance(1)
+        if kind == _NEWLINE:
+            line += len(lit)
+            line_start = end
+            glued = False
             continue
-        start = span()
-        # Strings.
-        if ch == '"':
-            i0 = i
-            advance(1)
-            buf = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise LexError(start, "unterminated string")
-                c = text[i]
-                if c == "\\" and i + 1 < n and text[i + 1] in ('"', "\\"):
-                    buf.append(text[i + 1])
-                    advance(2)
-                    continue
-                if c == '"':
-                    advance(1)
-                    break
-                buf.append(c)
-                advance(1)
-            tokens.append(Token(STRING, text[i0:i], start, value="".join(buf)))
-            continue
-        # Variables.
-        if ch == "?":
-            advance(1)
-            if i >= n or not _is_ident_start(text[i]):
-                raise LexError(start, "expected identifier after '?'")
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            name = text[i:j]
-            advance(j - i)
-            tokens.append(Token(VAR, "?" + name, start, value=name))
-            continue
-        # Numbers: digits, optionally a decimal part (dot must be followed
-        # by a digit, else the dot is punctuation).
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            lit = text[i:j]
-            advance(j - i)
-            tokens.append(Token(NUMBER, lit, start, value=Fraction(lit)))
-            continue
-        # Identifiers.
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            name = text[i:j]
-            advance(j - i)
-            tokens.append(Token(IDENT, name, start))
-            continue
-        # Punctuation, longest match first.
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                glued_left = i > 0 and text[i - 1] not in " \t\r\n"
-                end = i + len(sym)
-                glued_right = end < n and text[end] not in " \t\r\n"
-                advance(len(sym))
-                tokens.append(Token(SYM, sym, start,
-                                    glued_left=glued_left,
-                                    glued_right=glued_right))
-                break
+        col = start - line_start + 1
+        if kind == SYM:
+            append(Token(SYM, lit, (line, col), None, glued,
+                         text[end:end + 1] not in _UNGLUED))
+        elif kind == IDENT:
+            append(Token(IDENT, lit, (line, col)))
+        elif kind == NUMBER:
+            value = numbers.get(lit)
+            if value is None:
+                value = numbers[lit] = Fraction(lit)
+            append(Token(NUMBER, lit, (line, col), value))
+        elif kind == STRING and len(lit) > 1:
+            body = lit[1:-1]
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(r"\1", body)
+            append(Token(STRING, lit, (line, col), body))
+        elif kind == STRING:
+            raise LexError(Span(line, col), "unterminated string")
+        elif kind == VAR:
+            if len(lit) == 1 or not (lit[1].isalpha() or lit[1] == "_"):
+                raise LexError(Span(line, col),
+                               "expected identifier after '?'")
+            append(Token(VAR, lit, (line, col), lit[1:]))
         else:
-            raise LexError(start, f"unexpected character {ch!r}")
-    tokens.append(Token(EOF, "", Span(line, col)))
+            raise LexError(Span(line, col),
+                           f"unexpected character {lit[0]!r}")
+        glued = True
+    append(Token(EOF, "", (line, len(text) - line_start + 1)))
     return tokens

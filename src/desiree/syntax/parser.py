@@ -374,31 +374,34 @@ class _Parser:
 
     def _diff(self) -> ast.Description:
         left = self._or()
+        region = _is_region_desc(left)
         while self.cur.is_sym("-"):
             self.advance()
             right = self._or()
-            self._check_region_mix(left, right)
+            self._check_region_mix(region, right)
             left = ast.Diff(left, right)
         return left
 
     def _or(self) -> ast.Description:
         left = self._and()
+        region = _is_region_desc(left)
         while self.cur.is_sym("|"):
             self.advance()
             right = self._and()
-            self._check_region_mix(left, right)
+            self._check_region_mix(region, right)
             left = ast.Or(left, right)
         return left
 
     def _and(self) -> ast.Description:
         left = self._postfix()
+        region = _is_region_desc(left)
         while True:
             if self.cur.is_sym("&"):
                 self.advance()
             elif not self.at_desc_start():
                 break
             right = self._postfix()
-            self._check_region_mix(left, right)
+            self._check_region_mix(region, right)
             left = ast.And(left, right)
         return left
 
@@ -544,8 +547,8 @@ class _Parser:
         return self.peek(j + 1).is_sym(">")
 
     @staticmethod
-    def _check_region_mix(left: ast.Description, right: ast.Description) -> None:
-        if _is_region_desc(left) != _is_region_desc(right):
+    def _check_region_mix(region: bool, right: ast.Description) -> None:
+        if region != _is_region_desc(right):
             raise ParseError(Span(0, 0), "cannot combine a region with a concept")
 
 
@@ -556,11 +559,13 @@ def _int_modifier(cls, n: Fraction, span: Span, minimum: int):
 
 
 def _is_region_desc(d: ast.Description) -> bool:
-    if isinstance(d, ast.Region):
-        return True
-    if isinstance(d, (ast.And, ast.Or, ast.Diff)):
-        return _is_region_desc(d.left) and _is_region_desc(d.right)
-    return False
+    # The parser joins only operands that agree (_check_region_mix), so
+    # every And/Or/Diff it builds is a region exactly when its right
+    # operand is. The right spine of a chain is short: chains nest to the
+    # left.
+    while isinstance(d, (ast.And, ast.Or, ast.Diff)):
+        d = d.right
+    return isinstance(d, ast.Region)
 
 
 def _trim_unit(unit: str | None) -> str | None:

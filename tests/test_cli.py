@@ -78,25 +78,44 @@ def test_non_utf8_file_is_usage_error(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+# name -> (model text, exit status of `check`)
 DEEP_INPUTS = {
-    "3000 nested parentheses": "f F1 = " + "(" * 3000 + "A" + ")" * 3000,
-    "600-term conjunction": "f F1 = " + " and ".join(
-        f"A{i}" for i in range(600)),
+    "3000 nested parentheses": (
+        "f F1 = " + "(" * 3000 + "A" + ")" * 3000, 3),
+    "600-term conjunction": (
+        "f F1 = " + " and ".join(f"A{i}" for i in range(600)), 0),
 }
 
 
 @pytest.mark.parametrize("name", DEEP_INPUTS)
 def test_internal_error_has_its_own_status(capsys, tmp_path, name):
-    # Both inputs exhaust the parser's recursion; that is a defect, not
-    # an error in the model, so it must not exit 1 or print a traceback.
+    # The parentheses exhaust the parser's recursion; that is a defect,
+    # not an error in the model, so it must not exit 1 or print a
+    # traceback. The long chain parses without recursing.
+    text, status = DEEP_INPUTS[name]
     f = tmp_path / "deep.dsr"
-    f.write_text(DEEP_INPUTS[name] + ".\n")
+    f.write_text(text + ".\n")
     code, out, err = run(capsys, "check", str(f))
-    assert code == 3
+    assert code == status
+    if status == 0:
+        assert out == "0 errors, 0 warnings, 0 inconsistencies\n"
+        assert err == ""
+        return
     assert out == ""
     assert err.startswith("internal error: RecursionError: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_non_decimal_digit_is_a_lexical_error(capsys, tmp_path):
+    # `²` is a digit to str.isdigit() but not to Fraction.
+    f = tmp_path / "sup.dsr"
+    f.write_text("goal G1 = A \u00b2.\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 1
+    assert out == ("error: E-LEX-001 1:13 unexpected character '\u00b2'\n"
+                   "1 errors, 0 warnings, 0 inconsistencies\n")
+    assert err == ""
 
 
 def test_color_env(capsys, monkeypatch):
