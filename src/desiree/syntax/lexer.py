@@ -5,24 +5,27 @@ A dot token records whether it was glued to its neighbours, which is how
 the parser tells projection dots (`F1.object`) from declaration
 terminators (`... .`).
 
-The scan is one compiled regex, `_TOKEN_RE`, whose alternatives are
-tried in order at each position: newline runs, other whitespace and
-comments, identifiers, symbols (longest first), numbers, strings,
-`?`-variables, and a one-character catch-all. `findall` cuts the whole
-text into matches in one call; the first character of a match tells
-which alternative it is (`_START`, `_start_kind`), and a catch-all match
-raises the LexError the grammar calls for at that place.
+The scan is one compiled regex, `_TOKEN_RE`, with one named group per
+kind of match, tried in order at each position: newline runs, other
+whitespace and comments, identifiers, symbols (longest first), numbers,
+strings, an unterminated string's quote, `?`-variables, and a
+one-character catch-all. The name of the group that matched
+(`Match.lastgroup`) is the token kind; a catch-all match raises the
+LexError the grammar calls for at that place.
 
-Offsets are the running sum of match lengths. Only newline runs move
-the line count: strings and comments cannot hold a newline, so a
-token's column is its offset from the start of its line, plus one.
+Only newline runs move the line count: strings and comments cannot hold
+a newline, so a token's column is its offset from the start of its
+line, plus one.
 
 Whitespace is exactly space, tab, carriage return and newline. An
 identifier starts with a character for which `str.isalpha()` holds, or
 `_`, and goes on with `str.isalnum()` characters or `_` (regex `\\w` is
-exactly that). A number starts with a Unicode decimal digit (category
-Nd, regex `\\d`: the digits `Fraction` reads); other digits such as `²`
-are unexpected characters.
+exactly that). Regex `[^\\W\\d]` also takes numeric characters that are
+neither letters nor decimal digits, such as `½` and `²`, so an
+identifier match that starts with one is an unexpected character. A
+number starts with a Unicode decimal digit (category Nd, regex `\\d`: the
+digits `Fraction` reads); other digits such as `²` are unexpected
+characters.
 """
 from __future__ import annotations
 
@@ -40,35 +43,16 @@ SYM = "SYM"  # punctuation; the text field holds the symbol itself
 EOF = "EOF"
 
 _TOKEN_RE = re.compile(r"""
-    \n+                                  # newline run
-  | (?:[ \t\r]|//[^\n]*)+                # other whitespace and comments
-  | [^\W\d]\w*                           # identifier, or `½`, `²`: see _start_kind
-  | ::|:<|<=|>=|[<>:{}()\[\],.|&\-=%/]   # symbol
-  | \d+(?:\.\d+)?                        # number
-  | "(?:[^"\\\n]|\\.)*"                  # string
-  | \?[^\W\d]\w*                         # variable
-  | .                                    # anything else: an error
+    (?P<NEWLINE>\n+)
+  | (?P<SPACE>(?:[ \t\r]|//[^\n]*)+)      # whitespace and comments
+  | (?P<IDENT>[^\W\d]\w*)                 # also `½x`: see tokenize
+  | (?P<SYM>::|:<|<=|>=|[<>:{}()\[\],.|&\-=%/])
+  | (?P<NUMBER>\d+(?:\.\d+)?)
+  | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+  | (?P<UNTERMINATED>")
+  | (?P<VAR>\?(?:[^\W\d]\w*)?)           # also a bare `?`: see tokenize
+  | (?P<BAD>.)
 """, re.VERBOSE)
-
-# Kinds of match that make no token.
-_NEWLINE = "newline"
-_SPACE = "space"
-_SLASH = "slash"  # the `/` symbol, or a comment
-_BAD = "bad"
-
-# The kind of match each ASCII character starts; `_start_kind` covers
-# the rest.
-_START = {
-    "\n": _NEWLINE,
-    **dict.fromkeys(" \t\r", _SPACE),
-    "/": _SLASH,
-    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz"
-                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ_", IDENT),
-    **dict.fromkeys("<>:{}()[],.|&-=%", SYM),
-    **dict.fromkeys("0123456789", NUMBER),
-    '"': STRING,
-    "?": VAR,
-}
 
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 _UNGLUED = frozenset(("", " ", "\t", "\r", "\n"))
@@ -128,64 +112,49 @@ class Token:
         return self.kind == SYM and self.text == s
 
 
-def _start_kind(ch: str) -> str:
-    """The kind of match a character outside `_START` starts."""
-    if ch.isalpha():
-        return IDENT
-    if ch.isdecimal():
-        return NUMBER
-    return _BAD
-
-
 def tokenize(text: str) -> list[Token]:
     """Tokenize `text`, raising LexError on malformed input."""
     tokens: list[Token] = []
     append = tokens.append
     line = 1
     line_start = 0  # offset of the current line's first character
-    end = 0  # offset just past the current match
-    glued = False  # the previous match made a token
-    numbers: dict[str, Fraction] = {}  # a model repeats few literals
-    for lit in _TOKEN_RE.findall(text):
-        start = end
-        end += len(lit)
-        kind = _START.get(lit[0]) or _start_kind(lit[0])
-        if kind == _SLASH:
-            kind = SYM if lit == "/" else _SPACE
-        if kind == _SPACE:
-            glued = False
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "SPACE":
             continue
-        if kind == _NEWLINE:
+        start = m.start()
+        lit = m[0]
+        if kind == "NEWLINE":
             line += len(lit)
-            line_start = end
-            glued = False
+            line_start = start + len(lit)
             continue
         col = start - line_start + 1
-        if kind == SYM:
-            append(Token(SYM, lit, (line, col), None, glued,
-                         text[end:end + 1] not in _UNGLUED))
-        elif kind == IDENT:
+        if kind == IDENT:
+            if not (lit[0].isalpha() or lit[0] == "_"):
+                raise LexError(Span(line, col),
+                               f"unexpected character {lit[0]!r}")
             append(Token(IDENT, lit, (line, col)))
+        elif kind == SYM:
+            end = start + len(lit)
+            append(Token(SYM, lit, (line, col), None,
+                         text[start - 1:start] not in _UNGLUED,
+                         text[end:end + 1] not in _UNGLUED))
         elif kind == NUMBER:
-            value = numbers.get(lit)
-            if value is None:
-                value = numbers[lit] = Fraction(lit)
-            append(Token(NUMBER, lit, (line, col), value))
-        elif kind == STRING and len(lit) > 1:
+            append(Token(NUMBER, lit, (line, col), Fraction(lit)))
+        elif kind == STRING:
             body = lit[1:-1]
             if "\\" in body:
                 body = _ESCAPE_RE.sub(r"\1", body)
             append(Token(STRING, lit, (line, col), body))
-        elif kind == STRING:
-            raise LexError(Span(line, col), "unterminated string")
         elif kind == VAR:
             if len(lit) == 1 or not (lit[1].isalpha() or lit[1] == "_"):
                 raise LexError(Span(line, col),
                                "expected identifier after '?'")
             append(Token(VAR, lit, (line, col), lit[1:]))
+        elif kind == "UNTERMINATED":
+            raise LexError(Span(line, col), "unterminated string")
         else:
             raise LexError(Span(line, col),
-                           f"unexpected character {lit[0]!r}")
-        glued = True
+                           f"unexpected character {lit!r}")
     append(Token(EOF, "", (line, len(text) - line_start + 1)))
     return tokens
