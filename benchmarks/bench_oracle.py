@@ -1,23 +1,18 @@
 #!/usr/bin/env python3
-"""Compare the jit and numpy enumeration kernels on oracle workloads.
+"""Time the enumeration kernel on oracle workloads.
 
-Two workload groups show the trade-off between the kernels. Exhaustive
+Two workload groups show where the kernel's time goes. Exhaustive
 pairs hold, so the counterexample search scans every bounded
-interpretation; the numpy path pays its per-chunk Python work once per
+interpretation; the kernel pays its per-chunk Python work once per
 chunk of up to kernels.MAX_LANES indices. Early-witness pairs fail
-quickly; the jit path stops at the first hit while the numpy path still
-pays for the rest of the witness's chunk.
+quickly; the kernel still pays for specialising the search and for the
+rest of the witness's chunk.
 
-Each group also reports interpretations per second: the indices the
-kernel visits (through the first hit, or all of them) over the whole
-search time, axiom selection and compilation included.
-
-Both paths are timed in one process: the kernel dispatcher re-reads
-DESIREE_PURE_NUMPY on every call, so flipping the flag between runs
-switches backends without a restart.
+Each group reports interpretations per second: the indices the kernel
+visits (through the first hit, or all of them) over the whole search
+time, axiom selection and compilation included.
 """
 
-import os
 import time
 
 from desiree.reasoner import kernels
@@ -62,11 +57,8 @@ def parse_pairs(rows):
 
 
 def run_once(pairs):
-    results = []
     for d1, d2, axioms in pairs:
-        w = oracle_disprove(d1, d2, axioms)
-        results.append(None if w is None else w.to_json())
-    return results
+        oracle_disprove(d1, d2, axioms)
 
 
 def scanned(pairs):
@@ -85,48 +77,22 @@ def scanned(pairs):
 
 
 def time_group(pairs):
-    run_once(pairs)  # warm-up: jit compilation, caches
-    results = None
+    run_once(pairs)  # warm-up: caches
     start = time.perf_counter()
     for _ in range(REPS):
-        results = run_once(pairs)
-    elapsed = (time.perf_counter() - start) / REPS
-    return elapsed, results
-
-
-def use_backend(name):
-    if name == "numpy":
-        os.environ["DESIREE_PURE_NUMPY"] = "1"
-    else:
-        os.environ.pop("DESIREE_PURE_NUMPY", None)
-    assert kernels.backend_name() == name
+        run_once(pairs)
+    return (time.perf_counter() - start) / REPS
 
 
 def main():
-    backends = ["numba", "numpy"] if kernels.HAVE_NUMBA else ["numpy"]
     groups = [("exhaustive", parse_pairs(EXHAUSTIVE)),
               ("early witness", parse_pairs(EARLY_WITNESS))]
-
-    print(f"backends: {', '.join(backends)}; mean of {REPS} runs")
+    print(f"kernel: {kernels.backend_name()}; mean of {REPS} runs")
     for label, pairs in groups:
-        timings = {}
-        outputs = {}
-        for backend in backends:
-            use_backend(backend)
-            timings[backend], outputs[backend] = time_group(pairs)
-        os.environ.pop("DESIREE_PURE_NUMPY", None)
-        if len(outputs) == 2 and outputs["numba"] != outputs["numpy"]:
-            raise SystemExit(f"kernel mismatch on {label}: {outputs}")
+        elapsed = time_group(pairs)
         n = scanned(pairs)
-        line = "  ".join(f"{b} {timings[b] * 1000:8.2f} ms "
-                         f"{n / timings[b]:12,.0f} interps/s"
-                         for b in backends)
-        print(f"{label:14s} ({len(pairs)} searches, {n:>9,} interps)  {line}")
-        if len(timings) == 2:
-            ratio = timings["numpy"] / timings["numba"]
-            print(f"{'':14s} numpy/numba time ratio {ratio:5.1f}x")
-    if not kernels.HAVE_NUMBA:
-        print("numba not importable; numpy fallback only")
+        print(f"{label:14s} ({len(pairs)} searches, {n:>9,} interps)  "
+              f"{elapsed * 1000:8.2f} ms {n / elapsed:12,.0f} interps/s")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,7 @@
 A bounded interpretation lives over a universe of k individuals (indices
 0..k-1) followed by grid points (indices k..k+gamma-1). A description
 evaluates to a mask with one bit per universe element. Programs are
-postfix instruction arrays so the jit kernel and the vectorized fallback
-can both run them without recursion.
+postfix instruction arrays so the kernel can run them without recursion.
 
 Instruction layout: four int64 fields (op, a, b, c).
   PUSH_ATOM  a=atom index

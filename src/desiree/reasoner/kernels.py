@@ -1,27 +1,38 @@
-"""Interpretation-enumeration kernels: a jit path and a numpy path.
+"""The interpretation-enumeration kernel.
 
-Both walk interpretation indices in ascending order and return the
-smallest index whose interpretation satisfies every axiom yet puts some
-element in d1 outside d2 (-1 when the range is clean). Setting
-DESIREE_PURE_NUMPY=1 forces the vectorized numpy path; otherwise the
-numba path is used when numba imports.
+find_violation walks interpretation indices in ascending order and
+returns the smallest index whose interpretation satisfies every axiom
+yet puts some element in d1 outside d2 (-1 when the range is clean).
 
 Index layout, least significant first: individual assignments (radix k),
 named-region bits (gamma per region), slot bits (k+gamma per source, per
 slot), atom bits (k per atom). The decoder in oracle.py mirrors this.
 
-The numpy path scans chunks of consecutive indices, each index read as
+The search scans chunks of consecutive indices, each index read as
 hi * lanes + lo. The low part is a whole number of low digits: radix-k
 individual digits first, then stream bits once every individual digit
-is in, at most MAX_LANES indices in all. Its fields are decoded once
-per search. Within a chunk, every field wholly above the split is a
-scalar and at most one field straddles it, so a program over symbols
-that the chunk shares costs scalar operations, and an axiom that fails
-on such symbols rejects the whole chunk at once.
+is in, at most MAX_LANES indices in all. Every field (an individual's
+digit, a named region, a slot row, an atom) then reads only lo
+(invariant: the same lane array in every chunk), only hi (chunk-constant:
+one value per chunk) or, for at most one bit field, both (it straddles
+the split).
+
+Each search is specialised once, before the chunk loop. Each program is
+walked once, and every maximal sub-expression that reads no
+chunk-constant field is computed then and replaced by its value. The
+axioms that read nothing else are ANDed into one base lane mask, and an
+empty base ends the search without visiting a chunk. AND, OR and DIFF
+with 0 or the full mask as an operand are folded away, and an axiom
+whose left side folds to 0 is dropped. What remains runs per chunk:
+chunk-constant values are plain Python ints, and the lane arrays use
+the narrowest unsigned dtype that holds k + gamma bits, so an axiom
+over chunk-constant fields costs a few integer operations and rejects
+the whole chunk when it fails. Every mask is a subset of the full mask,
+so a complement is `y ^ full` and no negative int meets an unsigned
+array. Chunks are visited in order and argmax takes the first hit, so
+the smallest violating index is returned.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -40,26 +51,247 @@ from desiree.reasoner.compile import (
     OP_SLOT_ONLY,
 )
 
-# Indices per numpy chunk. An early witness wastes less of a small chunk
-# and a chunk's arrays (64 KiB each) stay in cache; much below 2^12 the
-# per-chunk work in Python dominates instead. Of 2^11 to 2^15, 2^13 ran
-# the searches of perfbench's three workloads fastest.
+# Indices per chunk. An early witness wastes less of a small chunk and a
+# chunk's arrays stay in cache; much below 2^12 the per-chunk work in
+# Python dominates instead. Replaying the searches of perfbench's
+# corpus-query with caps from 2^11 to 2^16, 2^13 was fastest.
 MAX_LANES = 1 << 13
 
 POPCNT = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is normally installed
-    HAVE_NUMBA = False
+# What a value reads: lo fields, hi fields, both (mixed) or neither.
+LO, HI = 1, 2
 
 
 def backend_name() -> str:
-    if os.environ.get("DESIREE_PURE_NUMPY") == "1" or not HAVE_NUMBA:
-        return "numpy"
-    return "numba"
+    """The kernel's name, for environment stamps."""
+    return "numpy"
+
+
+class _Split:
+    """The split of every index into hi * lanes + lo, lo < lanes.
+
+    Field ids: named region j, then slot s's row x at s * k + x, then
+    atom a, then individual i (its value is the bit of its element).
+    `reads[f]` says whether field f depends on lo, hi or both; `env0`
+    holds the lane arrays of the fields that depend on lo alone, decoded
+    once per search, and fields(hi) completes it for one chunk.
+    """
+
+    def __init__(self, total, k, gamma, n_atoms, n_slots, n_named, n_inds):
+        self.k, self.n_inds = k, n_inds
+        self.full = (1 << (k + gamma)) - 1
+        self.dtype = np.uint8 if k + gamma <= 8 else np.uint16
+        self.slot0 = n_named
+        self.atom0 = self.slot0 + n_slots * k
+        self.ind0 = self.atom0 + n_atoms
+        # The low part: whole individual digits while they fit, then,
+        # once every individual digit is in, stream bits while they fit.
+        # total is k ** n_inds times a power of two, so lanes divides it.
+        self.lo_inds, self.lanes, lo_bits = 0, 1, 0
+        while self.lo_inds < n_inds and self.lanes * k <= MAX_LANES:
+            self.lo_inds += 1
+            self.lanes *= k
+        while (self.lo_inds == n_inds
+               and 2 * self.lanes <= min(total, MAX_LANES)):
+            self.lanes *= 2
+            lo_bits += 1
+        rest = np.arange(self.lanes, dtype=np.uint16)  # lanes <= 2^16
+        self.env0, self.reads = [], []
+        lo_assign = []
+        for _ in range(self.lo_inds):
+            lo_assign.append((1 << rest % k).astype(self.dtype))
+            rest = rest // k
+        # Bit fields in stream order: (offset, width, shift into the mask).
+        u = k + gamma
+        fields = [(j * gamma, gamma, k) for j in range(n_named)]
+        off = n_named * gamma
+        fields += [(off + i * u, u, 0) for i in range(n_slots * k)]
+        off += n_slots * k * u
+        fields += [(off + a * k, k, 0) for a in range(n_atoms)]
+        self.straddle = None  # (field, low part, shift of hi, hi mask)
+        self.hi_fields = []   # (field, offset above the split, mask, shift)
+        for f, (off, width, shift) in enumerate(fields):
+            mask = (1 << width) - 1
+            value = None
+            if off + width <= lo_bits:
+                value = (((rest >> off) & mask) << shift).astype(self.dtype)
+                self.reads.append(LO)
+            elif off >= lo_bits:
+                self.hi_fields.append((f, off - lo_bits, mask, shift))
+                self.reads.append(HI)
+            else:
+                part = ((rest >> off) << shift).astype(self.dtype)
+                self.straddle = (f, part, lo_bits - off + shift,
+                                 (1 << (off + width - lo_bits)) - 1)
+                self.reads.append(LO | HI)
+            self.env0.append(value)
+        self.env0 += lo_assign + [None] * (n_inds - self.lo_inds)
+        self.reads += [LO] * self.lo_inds + [HI] * (n_inds - self.lo_inds)
+
+    def fields(self, hi):
+        """The value of every field in chunk hi."""
+        env = list(self.env0)
+        for i in range(self.ind0 + self.lo_inds, self.ind0 + self.n_inds):
+            env[i] = 1 << hi % self.k
+            hi //= self.k
+        if self.straddle is not None:
+            f, part, shift, mask = self.straddle
+            env[f] = part | (hi & mask) << shift
+        for f, off, mask, shift in self.hi_fields:
+            env[f] = ((hi >> off) & mask) << shift
+        return env
+
+
+def _run(code, env, k, full, dtype):
+    """Run one specialised program over a field environment.
+
+    Values are lane arrays or plain ints. PUSH_FIXED pushes its value,
+    PUSH_ATOM field a, PUSH_ENUM the union of the fields in a; the slot
+    operations read the k rows from field a on.
+    """
+    stack = []
+    for op, a, b, c in code:
+        if op == OP_PUSH_ATOM:
+            stack.append(env[a])
+        elif op == OP_PUSH_FIXED:
+            stack.append(a)
+        elif op == OP_AND:
+            y = stack.pop()
+            stack.append(stack.pop() & y)
+        elif op == OP_OR:
+            y = stack.pop()
+            stack.append(stack.pop() | y)
+        elif op == OP_DIFF:
+            y = stack.pop()
+            stack.append(stack.pop() & (y ^ full))
+        elif op == OP_PUSH_ENUM:
+            res = 0
+            for f in a:
+                res = res | env[f]
+            stack.append(res)
+        elif op == OP_SLOT_COUNT:
+            filler = stack.pop()
+            res = full ^ ((1 << k) - 1) if b == 0 else 0
+            for x in range(k):
+                cnt = POPCNT[env[a + x] & filler]
+                ok = cnt >= b
+                if c >= 0:
+                    ok = ok & (cnt <= c)
+                res = res | ok.astype(dtype) << x
+            stack.append(res)
+        elif op == OP_SLOT_ONLY:
+            outside = stack.pop() ^ full
+            res = full ^ ((1 << k) - 1)
+            for x in range(k):
+                ok = np.equal(env[a + x] & outside, 0)
+                res = res | ok.astype(dtype) << x
+            stack.append(res)
+        else:  # OP_PROJ
+            base = stack.pop()
+            res = 0
+            for x in range(k):
+                res = res | ((base >> x) & 1) * env[a + x]
+            stack.append(res)
+    return stack[0]
+
+
+def _specialise(instrs, enum_table, split):
+    """One program of compile.py, ready for the chunk loop: (code, reads).
+
+    Every maximal sub-expression that reads no hi field is computed here
+    and replaced by one PUSH_FIXED of its value, so a program that reads
+    no hi field becomes a single PUSH_FIXED. Fields are renumbered as in
+    _Split, and AND, OR and DIFF are folded where an operand is 0 or the
+    full mask.
+    """
+    k, full = split.k, split.full
+    code = []
+    operands = []  # per stack entry: (its first instruction, what it reads)
+
+    def fold(start, stop):
+        value = _run(code[start:stop], split.env0, k, full, split.dtype)
+        code[start:stop] = [(OP_PUSH_FIXED, value, 0, 0)]
+
+    def as_int(start, stop):
+        op, value = code[start][:2]
+        if stop - start == 1 and op == OP_PUSH_FIXED and type(value) is int:
+            return value
+        return None
+
+    for op, a, b, c in instrs:
+        if op in (OP_AND, OP_OR, OP_DIFF):
+            (s1, r1), (s2, r2) = operands[-2:]
+            del operands[-2:]
+            if (r1 | r2) & HI:
+                if not r2 & HI:
+                    fold(s2, len(code))
+                if not r1 & HI:
+                    fold(s1, s2)
+                    s2 = s1 + 1
+                short = _shortcut(op, as_int(s1, s2), as_int(s2, len(code)),
+                                  full)
+                if short == "x":
+                    del code[s2:]
+                    operands.append((s1, r1))
+                    continue
+                if short == "y":
+                    del code[s1:s2]
+                    operands.append((s1, r2))
+                    continue
+                if short is not None:
+                    code[s1:] = [(OP_PUSH_FIXED, short, 0, 0)]
+                    operands.append((s1, 0))
+                    continue
+            operands.append((s1, r1 | r2))
+            code.append((op, 0, 0, 0))
+            continue
+        if op in (OP_PUSH_ATOM, OP_PUSH_NAMED):
+            fields = (a if op == OP_PUSH_NAMED else split.atom0 + a,)
+            instr = (OP_PUSH_ATOM, fields[0], 0, 0)
+        elif op == OP_PUSH_ENUM:
+            fields = tuple(split.ind0 + i for i in enum_table[a:a + b])
+            instr = (OP_PUSH_ENUM, fields, 0, 0)
+        elif op in (OP_PUSH_FIXED, OP_PUSH_ALL, OP_PUSH_NONE):
+            fields = ()
+            value = {OP_PUSH_FIXED: a, OP_PUSH_ALL: full, OP_PUSH_NONE: 0}[op]
+            instr = (OP_PUSH_FIXED, value, 0, 0)
+        else:  # a slot operation on the k rows of slot a
+            first = split.slot0 + a * k
+            fields = tuple(range(first, first + k))
+            instr = (op, first, b, c)
+        start, r = len(code), 0
+        for f in fields:
+            r |= split.reads[f]
+        if op in (OP_SLOT_COUNT, OP_SLOT_ONLY, OP_PROJ):
+            start, r1 = operands.pop()
+            if r & HI and not r1 & HI:
+                fold(start, len(code))
+            r |= r1
+        operands.append((start, r))
+        code.append(instr)
+    (_, r), = operands
+    if not r & HI:
+        fold(0, len(code))
+    return code, r
+
+
+def _shortcut(op, x, y, full):
+    """x op y when one operand decides it: a value, or "x" or "y" for the
+    operand it equals; None otherwise. x and y are ints, or None when
+    not known before the chunk loop."""
+    if op == OP_DIFF:
+        if x == 0 or y == full:
+            return 0
+        return "x" if y == 0 else None
+    absorbing, unit = (0, full) if op == OP_AND else (full, 0)
+    if absorbing in (x, y):
+        return absorbing
+    if x == unit:
+        return "y"
+    if y == unit:
+        return "x"
+    return None
 
 
 def find_violation(
@@ -75,305 +307,45 @@ def find_violation(
     bounds: np.ndarray,
     enum_table: np.ndarray,
 ) -> int:
-    args = (k, gamma, n_atoms, n_slots, n_named, n_inds, n_axioms,
-            progs, bounds, enum_table)
-    if backend_name() == "numba":
-        return int(_search_jit(0, total, *args, POPCNT))
-    return _search_numpy(total, *args)
+    """The smallest index below total that violates the search, or -1."""
+    split = _Split(total, k, gamma, n_atoms, n_slots, n_named, n_inds)
+    progs, bounds = progs.tolist(), bounds.tolist()
+    enum_table = enum_table.tolist()
 
+    def violation(row):
+        """The elements of description row outside description row + 1."""
+        (a0, a1), (b0, b1) = bounds[row], bounds[row + 1]
+        instrs = progs[a0:a1] + progs[b0:b1] + [(OP_DIFF, 0, 0, 0)]
+        return _specialise(instrs, enum_table, split)
 
-# ---------------------------------------------------------------- numpy
-
-class _Chunks:
-    """The split of every index into hi * lanes + lo, lo < lanes.
-
-    fields(hi) gives the symbols of the chunk hi: each one is a
-    lanes-long int64 array when it varies with lo and a numpy int64
-    scalar when the whole chunk shares it. The arrays that depend on lo
-    alone are decoded here, once per search.
-    """
-
-    def __init__(self, total, k, gamma, n_atoms, n_slots, n_named, n_inds):
-        self.k, self.n_inds, self.n_named = k, n_inds, n_named
-        self.n_rel = n_slots * k
-        # The low part: whole individual digits while they fit, then,
-        # once every individual digit is in, stream bits while they fit.
-        # total is k ** n_inds times a power of two, so lanes divides it.
-        self.lo_inds, self.lanes, lo_bits = 0, 1, 0
-        while self.lo_inds < n_inds and self.lanes * k <= MAX_LANES:
-            self.lo_inds += 1
-            self.lanes *= k
-        while (self.lo_inds == n_inds
-               and 2 * self.lanes <= min(total, MAX_LANES)):
-            self.lanes *= 2
-            lo_bits += 1
-        rest = np.arange(self.lanes, dtype=np.int64)
-        self.lo_assign = []
-        for _ in range(self.lo_inds):
-            self.lo_assign.append(rest % k)
-            rest = rest // k
-        # Bit fields in stream order: (offset, width, shift into the mask);
-        # field ids: named region j, then slot s's row x at s * k + x,
-        # then atom a.
-        u = k + gamma
-        fields = [(j * gamma, gamma, k) for j in range(n_named)]
-        off = n_named * gamma
-        fields += [(off + i * u, u, 0) for i in range(self.n_rel)]
-        off += self.n_rel * u
-        fields += [(off + a * k, k, 0) for a in range(n_atoms)]
-        self.lo_vals = []     # fields wholly below the split
-        self.straddle = None  # (low part, shift of its high part, high mask)
-        self.hi_fields = []   # (offset above the split, mask, shift)
-        for off, width, shift in fields:
-            mask = (1 << width) - 1
-            if off + width <= lo_bits:
-                self.lo_vals.append(((rest >> off) & mask) << shift)
-            elif off >= lo_bits:
-                self.hi_fields.append((off - lo_bits, mask, shift))
-            else:
-                self.straddle = ((rest >> off) << shift,
-                                 lo_bits - off + shift,
-                                 (1 << (off + width - lo_bits)) - 1)
-        self.n_varying = len(self.lo_vals) + (self.straddle is not None)
-
-    def fields(self, hi):
-        assign = list(self.lo_assign)
-        for _ in range(self.lo_inds, self.n_inds):
-            assign.append(np.int64(hi % self.k))
-            hi //= self.k
-        vals = list(self.lo_vals)
-        if self.straddle is not None:
-            part, shift, mask = self.straddle
-            vals.append(part | np.int64((hi & mask) << shift))
-        for off, mask, shift in self.hi_fields:
-            vals.append(np.int64(((hi >> off) & mask) << shift))
-        named = vals[:self.n_named]
-        slot_rel = vals[self.n_named:self.n_named + self.n_rel]
-        atoms = vals[self.n_named + self.n_rel:]
-        return atoms, slot_rel, named, assign
-
-    def varies(self, row, progs, bounds, enum_table) -> bool:
-        """Whether the program at row reads a symbol that varies with lo."""
-        for op, a, b, _c in progs[bounds[row, 0]:bounds[row, 1]]:
-            if op == OP_PUSH_ATOM:
-                field = self.n_named + self.n_rel + a
-            elif op == OP_PUSH_NAMED:
-                field = a
-            elif op in (OP_SLOT_COUNT, OP_SLOT_ONLY, OP_PROJ):
-                field = self.n_named + a * self.k
-            elif op == OP_PUSH_ENUM:
-                if (enum_table[a:a + b] < self.lo_inds).any():
-                    return True
-                continue
-            else:
-                continue
-            if field < self.n_varying:
-                return True
-        return False
-
-
-def _eval_numpy(row, progs, bounds, enum_table, atoms, slot_rel, named,
-                assign, k, full, grid_mask):
-    """Run one program over a chunk by broadcasting: a symbol constant
-    over the chunk is a scalar, and so is every result built only from
-    such symbols. slot_rel[s * k + x] is slot s's row for individual x.
-    """
-    stack = []
-    for pi in range(bounds[row, 0], bounds[row, 1]):
-        op, a, b, c = progs[pi]
-        if op == OP_PUSH_ATOM:
-            stack.append(atoms[a])
-        elif op == OP_PUSH_FIXED:
-            stack.append(a)
-        elif op == OP_PUSH_NAMED:
-            stack.append(named[a])
-        elif op == OP_PUSH_ENUM:
-            res = np.int64(0)
-            for j in range(a, a + b):
-                res = res | np.int64(1) << assign[enum_table[j]]
-            stack.append(res)
-        elif op == OP_PUSH_ALL:
-            stack.append(full)
-        elif op == OP_PUSH_NONE:
-            stack.append(np.int64(0))
-        elif op == OP_AND:
-            y = stack.pop()
-            stack.append(stack.pop() & y)
-        elif op == OP_OR:
-            y = stack.pop()
-            stack.append(stack.pop() | y)
-        elif op == OP_DIFF:
-            y = stack.pop()
-            stack.append(stack.pop() & ~y & full)
-        elif op == OP_SLOT_COUNT:
-            filler = stack.pop()
-            res = grid_mask if b == 0 else np.int64(0)
-            for x in range(k):
-                cnt = POPCNT[slot_rel[a * k + x] & filler]
-                ok = cnt >= b
-                if c >= 0:
-                    ok = ok & (cnt <= c)
-                res = res | ok.astype(np.int64) << x
-            stack.append(res)
-        elif op == OP_SLOT_ONLY:
-            filler = stack.pop()
-            res = grid_mask
-            for x in range(k):
-                ok = (slot_rel[a * k + x] & ~filler & full) == 0
-                res = res | ok.astype(np.int64) << x
-            stack.append(res)
-        else:  # OP_PROJ
-            base = stack.pop()
-            res = np.int64(0)
-            for x in range(k):
-                res = res | (-((base >> x) & 1) & slot_rel[a * k + x])
-            stack.append(res & full)
-    return stack[0]
-
-
-def _search_numpy(total, k, gamma, n_atoms, n_slots, n_named, n_inds,
-                  n_axioms, progs, bounds, enum_table):
-    full = np.int64((1 << (k + gamma)) - 1)
-    grid_mask = full & ~np.int64((1 << k) - 1)
-    chunks = _Chunks(total, k, gamma, n_atoms, n_slots, n_named, n_inds)
-    # Axioms constant over a chunk go first, so one that fails rejects
-    # the chunk before any array is computed.
-    order = sorted(range(n_axioms), key=lambda ai: any(
-        chunks.varies(row, progs, bounds, enum_table)
-        for row in (2 + 2 * ai, 3 + 2 * ai)))
-    for hi in range(total // chunks.lanes):
-        fields = chunks.fields(hi)
-
-        def ev(row):
-            return _eval_numpy(row, progs, bounds, enum_table, *fields, k,
-                               full, grid_mask)
-
-        ok = np.True_
-        for ai in order:
-            ok = ok & ((ev(2 + 2 * ai) & ~ev(3 + 2 * ai) & full) == 0)
-            if not ok.any():
+    base = True
+    checks = []
+    for ai in range(n_axioms):
+        code, reads = violation(2 + 2 * ai)
+        if reads & HI:
+            checks.append((reads, code))
+        else:
+            base = base & (code[0][1] == 0)
+    if not np.any(base):
+        return -1
+    # Axioms over chunk-constant fields alone go first: one that fails
+    # rejects the chunk before any array is computed.
+    checks = [code for _r, code in sorted(checks, key=lambda rc: rc[0] & LO)]
+    goal, _reads = violation(0)
+    args = k, split.full, split.dtype
+    for hi in range(total // split.lanes):
+        env = split.fields(hi)
+        ok = base
+        for code in checks:
+            viol = _run(code, env, *args)
+            if isinstance(viol, np.ndarray):
+                ok = ok & (viol == 0)
+                if not ok.any():
+                    break
+            elif viol:
                 break
         else:
-            hit = ok & ((ev(0) & ~ev(1) & full) != 0)
-            if hit.any():
-                return hi * chunks.lanes + int(np.argmax(hit))
+            hit = ok & (_run(goal, env, *args) != 0)
+            if np.any(hit):
+                return hi * split.lanes + int(np.argmax(hit))
     return -1
-
-
-# ----------------------------------------------------------------- jit
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _eval_jit(row, progs, bounds, enum_table, atoms, slot_rel, named,
-                  assign, k, full, grid_mask, popcnt, stack):
-        sp = 0
-        for pi in range(bounds[row, 0], bounds[row, 1]):
-            op = progs[pi, 0]
-            a = progs[pi, 1]
-            b = progs[pi, 2]
-            c = progs[pi, 3]
-            if op == OP_PUSH_ATOM:
-                stack[sp] = atoms[a]
-                sp += 1
-            elif op == OP_PUSH_FIXED:
-                stack[sp] = a
-                sp += 1
-            elif op == OP_PUSH_NAMED:
-                stack[sp] = named[a]
-                sp += 1
-            elif op == OP_PUSH_ENUM:
-                m = 0
-                for j in range(a, a + b):
-                    m |= 1 << assign[enum_table[j]]
-                stack[sp] = m
-                sp += 1
-            elif op == OP_PUSH_ALL:
-                stack[sp] = full
-                sp += 1
-            elif op == OP_PUSH_NONE:
-                stack[sp] = 0
-                sp += 1
-            elif op == OP_AND:
-                sp -= 1
-                stack[sp - 1] = stack[sp - 1] & stack[sp]
-            elif op == OP_OR:
-                sp -= 1
-                stack[sp - 1] = stack[sp - 1] | stack[sp]
-            elif op == OP_DIFF:
-                sp -= 1
-                stack[sp - 1] = stack[sp - 1] & ~stack[sp] & full
-            elif op == OP_SLOT_COUNT:
-                filler = stack[sp - 1]
-                res = 0
-                for x in range(k):
-                    cnt = popcnt[slot_rel[a, x] & filler]
-                    if cnt >= b and (c < 0 or cnt <= c):
-                        res |= 1 << x
-                if b == 0:
-                    res |= grid_mask
-                stack[sp - 1] = res
-            elif op == OP_SLOT_ONLY:
-                filler = stack[sp - 1]
-                res = grid_mask
-                for x in range(k):
-                    if slot_rel[a, x] & ~filler & full == 0:
-                        res |= 1 << x
-                stack[sp - 1] = res
-            else:  # OP_PROJ
-                base = stack[sp - 1]
-                res = 0
-                for x in range(k):
-                    if base & (1 << x):
-                        res |= slot_rel[a, x]
-                stack[sp - 1] = res & full
-        return stack[0]
-
-    @njit(cache=True)
-    def _search_jit(start, stop, k, gamma, n_atoms, n_slots, n_named,
-                    n_inds, n_axioms, progs, bounds, enum_table, popcnt):
-        u = k + gamma
-        full = (1 << u) - 1
-        grid_mask = full & ~((1 << k) - 1)
-        kbits = (1 << k) - 1
-        gbits = (1 << gamma) - 1
-        atoms = np.zeros(max(n_atoms, 1), np.int64)
-        slot_rel = np.zeros((max(n_slots, 1), k), np.int64)
-        named = np.zeros(max(n_named, 1), np.int64)
-        assign = np.zeros(max(n_inds, 1), np.int64)
-        stack = np.zeros(64, np.int64)
-        for idx in range(start, stop):
-            rest = idx
-            for i in range(n_inds):
-                assign[i] = rest % k
-                rest //= k
-            for j in range(n_named):
-                named[j] = (rest & gbits) << k
-                rest >>= gamma
-            for s in range(n_slots):
-                for x in range(k):
-                    slot_rel[s, x] = rest & full
-                    rest >>= u
-            for a in range(n_atoms):
-                atoms[a] = rest & kbits
-                rest >>= k
-            ok = True
-            for ai in range(n_axioms):
-                lhs = _eval_jit(2 + 2 * ai, progs, bounds, enum_table,
-                                atoms, slot_rel, named, assign, k, full,
-                                grid_mask, popcnt, stack)
-                rhs = _eval_jit(3 + 2 * ai, progs, bounds, enum_table,
-                                atoms, slot_rel, named, assign, k, full,
-                                grid_mask, popcnt, stack)
-                if lhs & ~rhs & full != 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            m1 = _eval_jit(0, progs, bounds, enum_table, atoms, slot_rel,
-                           named, assign, k, full, grid_mask, popcnt, stack)
-            m2 = _eval_jit(1, progs, bounds, enum_table, atoms, slot_rel,
-                           named, assign, k, full, grid_mask, popcnt, stack)
-            if m1 & ~m2 & full != 0:
-                return idx
-        return -1

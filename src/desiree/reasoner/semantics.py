@@ -1,7 +1,7 @@
 """Reference set-semantics evaluator over explicit finite interpretations.
 
 This is the slow, obviously-correct route: plain Python sets, one clause
-per description form. The enumeration kernels are checked against it, and
+per description form. The enumeration kernel is checked against it, and
 every Disproved witness must replay through it.
 
 Axioms here are pairs of descriptions (lhs, rhs); an interpretation

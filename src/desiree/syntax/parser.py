@@ -376,9 +376,9 @@ class _Parser:
         left = self._or()
         region = _is_region_desc(left)
         while self.cur.is_sym("-"):
-            self.advance()
+            op = self.advance()
             right = self._or()
-            self._check_region_mix(region, right)
+            self._check_region_mix(region, right, op)
             left = ast.Diff(left, right)
         return left
 
@@ -386,9 +386,9 @@ class _Parser:
         left = self._and()
         region = _is_region_desc(left)
         while self.cur.is_sym("|"):
-            self.advance()
+            op = self.advance()
             right = self._and()
-            self._check_region_mix(region, right)
+            self._check_region_mix(region, right, op)
             left = ast.Or(left, right)
         return left
 
@@ -396,12 +396,15 @@ class _Parser:
         left = self._postfix()
         region = _is_region_desc(left)
         while True:
-            if self.cur.is_sym("&"):
+            # juxtaposition has no operator: the right operand's first
+            # token stands for it
+            op = self.cur
+            if op.is_sym("&"):
                 self.advance()
             elif not self.at_desc_start():
                 break
             right = self._postfix()
-            self._check_region_mix(region, right)
+            self._check_region_mix(region, right, op)
             left = ast.And(left, right)
         return left
 
@@ -547,9 +550,10 @@ class _Parser:
         return self.peek(j + 1).is_sym(">")
 
     @staticmethod
-    def _check_region_mix(region: bool, right: ast.Description) -> None:
+    def _check_region_mix(region: bool, right: ast.Description,
+                          op: Token) -> None:
         if region != _is_region_desc(right):
-            raise ParseError(Span(0, 0), "cannot combine a region with a concept")
+            raise ParseError(op.span, "cannot combine a region with a concept")
 
 
 def _int_modifier(cls, n: Fraction, span: Span, minimum: int):

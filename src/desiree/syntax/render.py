@@ -83,11 +83,28 @@ def _level(d: ast.Description) -> int:
     return _LEVEL_PRIMARY
 
 
+_INFIX = {ast.And: " ", ast.Or: " | ", ast.Diff: " - "}
+
+
 def _render(d: ast.Description, min_level: int) -> str:
+    # And/Or/Diff chains and projections nest to the left, so their left
+    # spine is walked in a loop; a right operand binds one level tighter.
+    opens = 0
+    tails = []
+    while type(d) in _INFIX or isinstance(d, ast.Proj):
+        level = _level(d)
+        close = level < min_level
+        opens += close
+        if isinstance(d, ast.Proj):
+            tail, d = f".{d.slot}", d.base
+        else:
+            tail, d = _INFIX[type(d)] + _render(d.right, level + 1), d.left
+        tails.append(tail + ")" * close)
+        min_level = level
     text = _render_at(d)
     if _level(d) < min_level:
-        return f"({text})"
-    return text
+        text = f"({text})"
+    return "(" * opens + text + "".join(reversed(tails))
 
 
 def _render_at(d: ast.Description) -> str:
@@ -103,14 +120,6 @@ def _render_at(d: ast.Description) -> str:
         return f"<{d.slot}: {_modifier(d.modifier)}{filler}>"
     if isinstance(d, ast.Enum):
         return "{" + ", ".join(d.members) + "}"
-    if isinstance(d, ast.Proj):
-        return f"{_render(d.base, _LEVEL_PROJ)}.{d.slot}"
-    if isinstance(d, ast.And):
-        return f"{_render(d.left, _LEVEL_AND)} {_render(d.right, _LEVEL_AND + 1)}"
-    if isinstance(d, ast.Or):
-        return f"{_render(d.left, _LEVEL_OR)} | {_render(d.right, _LEVEL_OR + 1)}"
-    if isinstance(d, ast.Diff):
-        return f"{_render(d.left, _LEVEL_DIFF)} - {_render(d.right, _LEVEL_DIFF + 1)}"
     if isinstance(d, ast.Region):
         # Description position: named regions must be quoted so they do not
         # read back as concept atoms.

@@ -107,6 +107,25 @@ def test_internal_error_has_its_own_status(capsys, tmp_path, name):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("op", [" & ", " | ", " - ", " and ", "."])
+def test_long_chain_formats_and_exports(capsys, tmp_path, op):
+    # The renderer walks a chain's left spine in a loop, so fmt and
+    # export take a chain as long as the parser does. (`and` is an atom:
+    # `A0 and A1` is a conjunction of three; `.` chains projections.)
+    terms = [f"A{i}" for i in range(10_000)]
+    joint = " " if op == " & " else op
+    f = tmp_path / "chain.dsr"
+    f.write_text(f"f F1 = {op.join(terms)}.\n")
+    code, out, err = run(capsys, "fmt", str(f))
+    assert (code, err) == (0, "")
+    assert out == f"f F1 = {joint.join(terms)}.\n"
+    f.write_text(out)
+    assert run(capsys, "fmt", str(f)) == (0, out, "")
+    code, out, err = run(capsys, "export", str(f), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["elements"][0]["body"] == joint.join(terms)
+
+
 def test_non_decimal_digit_is_a_lexical_error(capsys, tmp_path):
     # `²` is a digit to str.isdigit() but not to Fraction.
     f = tmp_path / "sup.dsr"
@@ -115,6 +134,24 @@ def test_non_decimal_digit_is_a_lexical_error(capsys, tmp_path):
     assert code == 1
     assert out == ("error: E-LEX-001 1:13 unexpected character '\u00b2'\n"
                    "1 errors, 0 warnings, 0 inconsistencies\n")
+    assert err == ""
+
+
+def test_region_mix_points_at_the_operator(capsys, tmp_path):
+    # juxtaposition has no operator token: the error points at the
+    # operand that starts the mix
+    f = tmp_path / "mix.dsr"
+    f.write_text("f F1 = A & [0, 3].\nf F2 = [0, 3] - B.\n"
+                 "f F3 = A\n  [0, 3].\n")
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 1
+    assert out == ("error: E-PARSE-001 1:10 cannot combine a region with a "
+                   "concept\n"
+                   "error: E-PARSE-001 2:15 cannot combine a region with a "
+                   "concept\n"
+                   "error: E-PARSE-001 4:3 cannot combine a region with a "
+                   "concept\n"
+                   "3 errors, 0 warnings, 0 inconsistencies\n")
     assert err == ""
 
 

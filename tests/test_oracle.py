@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from desiree.reasoner import kernels
@@ -42,13 +42,17 @@ def scalar_first(d1, d2, axioms, limit=10000):
     return -1
 
 
-def kernel_first(d1, d2, axioms):
-    selected = select_axioms(d1, d2, axioms)
-    table, total, progs, bounds, enum_table = build_problem(d1, d2, selected)
+def kernel_on(d1, d2, axioms):
+    """The kernel's index on the problem of exactly these axioms."""
+    table, total, progs, bounds, enum_table = build_problem(d1, d2, axioms)
     return kernels.find_violation(
         total, table.k, table.gamma, len(table.atoms), len(table.slots),
-        len(table.named), len(table.inds), len(selected), progs, bounds,
+        len(table.named), len(table.inds), len(axioms), progs, bounds,
         enum_table)
+
+
+def kernel_first(d1, d2, axioms):
+    return kernel_on(d1, d2, select_axioms(d1, d2, axioms))
 
 
 def test_no_witness_for_obvious_truths():
@@ -300,31 +304,41 @@ def test_kernel_matches_reference_sweep(case):
 
 
 def logged_kernel(monkeypatch, d1, d2, axioms):
-    """The numpy kernel's index and, per visited chunk, the (row, came
-    out as an array) of every program run.
+    """The kernel's index on the problem of exactly these axioms; per
+    visited chunk, the (program, came out as an array) of every program
+    run; and what each program reads (kernels.LO, kernels.HI or both).
+    Program i < len(axioms) is axiom i, program len(axioms) the pair's.
 
-    Fails as soon as any chunk array is longer than MAX_LANES.
+    Fails as soon as any array is longer than MAX_LANES.
     """
-    monkeypatch.setenv("DESIREE_PURE_NUMPY", "1")
-    visits = []
-    fields, evaluate = kernels._Chunks.fields, kernels._eval_numpy
+    visits, programs, reads = [], [], []
+    fields, run, specialise = (kernels._Split.fields, kernels._run,
+                               kernels._specialise)
 
     def logged_fields(self, hi):
-        out = fields(self, hi)
-        assert all(np.size(v) <= kernels.MAX_LANES
-                   for group in out for v in group)
+        env = fields(self, hi)
+        assert all(np.size(v) <= kernels.MAX_LANES for v in env)
         visits.append([])
-        return out
+        return env
 
-    def logged_eval(row, *args):
-        res = evaluate(row, *args)
+    def logged_specialise(*args):
+        code, r = specialise(*args)
+        programs.append(code)
+        reads.append(r)
+        return code, r
+
+    def logged_run(code, *args):
+        res = run(code, *args)
         assert np.size(res) <= kernels.MAX_LANES
-        visits[-1].append((row, np.ndim(res) > 0))
+        which = [i for i, p in enumerate(programs) if p is code]
+        if which:
+            visits[-1].append((which[0], np.ndim(res) > 0))
         return res
 
-    monkeypatch.setattr(kernels._Chunks, "fields", logged_fields)
-    monkeypatch.setattr(kernels, "_eval_numpy", logged_eval)
-    return kernel_first(d1, d2, axioms), visits
+    monkeypatch.setattr(kernels._Split, "fields", logged_fields)
+    monkeypatch.setattr(kernels, "_specialise", logged_specialise)
+    monkeypatch.setattr(kernels, "_run", logged_run)
+    return kernel_on(d1, d2, axioms), visits, reads
 
 
 EIGHT = "{a, b, c, d, e, f, g, h}"
@@ -347,28 +361,33 @@ def test_chunked_kernel_matches_reference(monkeypatch, name):
     d1, d2 = pd(d1), pd(d2)
     axioms = [(pd(lhs), pd(rhs)) for lhs, rhs in axioms]
     assert select_axioms(d1, d2, axioms) == axioms
-    got, visits = logged_kernel(monkeypatch, d1, d2, axioms)
+    got, visits, _reads = logged_kernel(monkeypatch, d1, d2, axioms)
     assert got == scalar_first(d1, d2, axioms, limit=BUDGET)
     table, total, *_ = build_problem(d1, d2, axioms)
-    chunks = kernels._Chunks(total, table.k, table.gamma, len(table.atoms),
-                             len(table.slots), len(table.named),
-                             len(table.inds))
+    chunks = kernels._Split(total, table.k, table.gamma, len(table.atoms),
+                            len(table.slots), len(table.named),
+                            len(table.inds))
     assert chunks.lanes <= kernels.MAX_LANES
     assert total >= 3 * chunks.lanes
     if name == "witness past the first chunk":
         assert got // chunks.lanes >= 2
     elif name == "straddling field":
         # the witness sets bits of the straddling field on both sides
-        part, _shift, mask = chunks.straddle
+        _field, part, _shift, mask = chunks.straddle
         assert part[got % chunks.lanes] and got // chunks.lanes & mask
     elif name == "exhaustive over chunks":
         assert got == -1
         assert len(visits) == total // chunks.lanes
+        # nothing to hoist: A straddles the split, so each chunk runs
+        # the pair's program, and only that
+        assert all(v == [(0, True)] for v in visits)
     elif name == "chunk killed by a constant axiom":
         assert got // chunks.lanes >= 3
-        killed = [v for v in visits if not any(arr for _row, arr in v)]
+        killed = [v for v in visits if not any(arr for _prog, arr in v)]
         assert len(killed) >= 3
-        assert all(row >= 2 for v in killed for row, _arr in v)
+        # axiom 1 reads only i and A, both above the split: it runs
+        # first, as integers, and rejects the chunk on its own
+        assert all(v == [(1, False)] for v in killed)
     else:
         assert table.k ** len(table.inds) > kernels.MAX_LANES
         assert chunks.lo_inds < len(table.inds)
@@ -376,23 +395,121 @@ def test_chunked_kernel_matches_reference(monkeypatch, name):
         assert got // chunks.lanes % table.k != 0
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_backends_agree(monkeypatch):
-    pairs = [
-        (pd("A"), pd("B"), []),
-        (pd("<s: SOME A>"), pd("<s: ONLY A>"), []),
-        (pd("A B"), pd("A"), []),
-        (pd("{a, b}"), pd("{a}"), []),
-        (pd("A"), pd("C"), [(pd("A"), pd("B")), (pd("B"), pd("C"))]),
-    ]
-    results = {}
-    for flag in ("0", "1"):
-        monkeypatch.setenv("DESIREE_PURE_NUMPY", flag)
-        name = kernels.backend_name()
-        assert name == ("numpy" if flag == "1" else "numba")
-        for i, (d1, d2, axioms) in enumerate(pairs):
-            w = oracle_disprove(d1, d2, axioms)
-            results.setdefault(i, []).append(
-                None if w is None else w.to_json())
-    for outcomes in results.values():
-        assert outcomes[0] == outcomes[1]
+# The differential test below draws small problems and lane caps far
+# below MAX_LANES, so the split falls everywhere: between individual
+# digits, inside a field, above every field. The leaves cover fields
+# below the split (invariant), above it (chunk-constant) and across it,
+# enums whose members sit on both sides, and constants, so that an
+# axiom such as Anything :< Nothing empties the base mask.
+kernel_leaves = st.one_of(
+    st.sampled_from("AB").map(ast.Atom),
+    st.sampled_from([ast.ANYTHING, ast.NOTHING,
+                     ast.Region(ast.Named("Fast"))]),
+    st.lists(st.sampled_from("ab"), min_size=1, max_size=2,
+             unique=True).map(lambda ms: ast.Enum(tuple(ms))))
+kernel_descs = st.recursive(kernel_leaves, lambda sub: st.one_of(
+    st.builds(ast.And, sub, sub),
+    st.builds(ast.Or, sub, sub),
+    st.builds(ast.Diff, sub, sub)), max_leaves=4)
+# Slots take a universe of their own (12 bits at k = 3), so they come
+# with constant fillers only, which keeps every reference scan short.
+slot_descs = st.recursive(
+    st.sampled_from([ast.ANYTHING, ast.NOTHING]),
+    lambda sub: st.one_of(
+        st.builds(ast.Slot, st.just("s"),
+                  st.sampled_from([ast.Some(), ast.Only(), ast.ExactlyOne(),
+                                   ast.AtMost(1), ast.Exactly(2)]), sub),
+        st.builds(ast.Proj, sub, st.just("s")),
+        st.builds(ast.And, sub, sub),
+        st.builds(ast.Diff, sub, sub)), max_leaves=3)
+LANE_CAPS = [1, 2, 4, 8, 16, 32, 128, kernels.MAX_LANES]
+
+
+@st.composite
+def one_symbol_sides(draw, leaves):
+    """A side over one drawn leaf and the constants."""
+    x = draw(leaves)
+    return st.recursive(
+        st.sampled_from([x, ast.ANYTHING, ast.NOTHING]),
+        lambda sub: st.one_of(st.builds(ast.And, sub, sub),
+                              st.builds(ast.Or, sub, sub),
+                              st.builds(ast.Diff, sub, sub)), max_leaves=3)
+
+
+@st.composite
+def kernel_problems(draw):
+    if draw(st.booleans()):
+        sides, leaves = kernel_descs, kernel_leaves
+    else:
+        sides, leaves = slot_descs, slot_descs
+    d1, d2 = draw(sides), draw(sides)
+    # an axiom over one symbol reads one side of the split, or both
+    # when that symbol straddles it
+    one_symbol = one_symbol_sides(leaves).flatmap(
+        lambda side: st.tuples(side, side))
+    axioms = draw(st.lists(st.one_of(st.tuples(sides, sides), one_symbol),
+                           max_size=3))
+    return d1, d2, select_axioms(d1, d2, axioms)
+
+
+def kernel_cases(d1, d2, axioms, reads, visits, got):
+    """The specialisation cases one search meets."""
+    table, total, progs, _bounds, enum_table = build_problem(d1, d2, axioms)
+    split = kernels._Split(total, table.k, table.gamma, len(table.atoms),
+                           len(table.slots), len(table.named),
+                           len(table.inds))
+    cases = set()
+    if split.straddle is not None:
+        cases.add("straddling field")
+    for op, a, b, _c in progs:
+        members = enum_table[a:a + b]
+        if (op == kernels.OP_PUSH_ENUM and min(members) < split.lo_inds
+                <= max(members)):
+            cases.add("enum split")
+    for r in reads[:len(axioms)]:
+        if r == kernels.LO:
+            cases.add("invariant axiom")
+        elif r == kernels.HI:
+            cases.add("chunk-constant axiom")
+    if got < 0 and not visits and len(reads) == len(axioms):
+        cases.add("empty base")
+    return cases
+
+
+KERNEL_EXAMPLES = [
+    # A below the split and empty, B above it and empty
+    (("A", "B", [("A", "Anything - A"), ("B", "Anything - B")]), 8,
+     {"invariant axiom", "chunk-constant axiom"}),
+    # the split falls inside A's field
+    (("A", "B", []), 4, {"straddling field"}),
+    # a below the split, b above it
+    (("A {a, b}", "B", []), 4, {"enum split"}),
+    (("A", "B", [("Anything", "Nothing")]), 64, {"empty base"}),
+]
+
+
+def specialised_search(d1, d2, axioms, cap):
+    """The cases the kernel met at lane cap `cap`, once its index has
+    matched the reference's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "MAX_LANES", cap)
+        got, visits, reads = logged_kernel(mp, d1, d2, axioms)
+        cases = kernel_cases(d1, d2, axioms, reads, visits, got)
+    assert got == scalar_first(d1, d2, axioms, limit=BUDGET)
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(KERNEL_EXAMPLES)))
+def test_kernel_examples_meet_each_case(case):
+    (d1, d2, axioms), cap, want = KERNEL_EXAMPLES[case]
+    d1, d2 = pd(d1), pd(d2)
+    axioms = [(pd(lhs), pd(rhs)) for lhs, rhs in axioms]
+    assert select_axioms(d1, d2, axioms) == axioms
+    assert want <= specialised_search(d1, d2, axioms, cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_problems(), st.sampled_from(LANE_CAPS))
+def test_specialised_kernel_matches_reference(problem, cap):
+    for name in sorted(specialised_search(*problem, cap)):
+        event(name)
