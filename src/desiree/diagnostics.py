@@ -17,6 +17,7 @@ INFO = "Info"
 E_LEX = "E-LEX-001"          # lexical error
 E_PARSE = "E-PARSE-001"      # syntax error
 E_NOT_SUPPORTED = "E-PARSE-002"  # recognized but unsupported construct (MathExpr bound)
+E_NESTING = "E-PARSE-003"    # description nested deeper than the parser's limit
 E_DUP = "E-DUP-001"          # duplicate identifier
 E_KIND = "E-KIND-001"        # kind/body incompatibility
 E_REGION_KIND = "E-KIND-002"  # region kind not allowed for the element kind

@@ -42,7 +42,8 @@ class ReasonerContext:
 
     A context is built once per theory and kept as long as the theory
     does not change; its caches (the structural memo, the search index
-    and its memo) live as long as it does.
+    and its memo, the contexts made by `assuming`) live as long as it
+    does.
     """
 
     axioms: list[tuple[ast.Description, ast.Description]] = field(
@@ -66,6 +67,7 @@ class ReasonerContext:
         self.open_queries: dict = {}
         self.guard_read = 0
         self._index: AxiomIndex | None = None
+        self._assumed: dict = {}
 
     def axiom_pairs(self) -> list[tuple[ast.Description, ast.Description]]:
         """Axioms plus disjointness constraints, for the model search."""
@@ -79,6 +81,17 @@ class ReasonerContext:
         if self._index is None:
             self._index = AxiomIndex(self.axiom_pairs())
         return self._index
+
+    def assuming(self, axiom: tuple[ast.Description, ast.Description]
+                 ) -> "ReasonerContext":
+        """This theory plus one axiom, built once per axiom and kept. Its
+        search index extends this one's, so they share the kernel memo."""
+        if axiom not in self._assumed:
+            ctx = ReasonerContext(self.axioms + [axiom], self.disjoints,
+                                  self.max_dnf)
+            ctx._index = self.axiom_index().extended(axiom)
+            self._assumed[axiom] = ctx
+        return self._assumed[axiom]
 
 
 @dataclass

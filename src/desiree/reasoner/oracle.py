@@ -17,9 +17,11 @@ universal, and a map from symbol to axioms. Selecting the axioms of a
 search walks that map from the pair's symbols instead of the whole
 theory. The index also carries the search memo: the kernel's answer
 per compiled problem (every argument of kernels.find_violation), so
-searches that differ only in symbol names run the kernel once. Both
-live as long as the context, which the model keeps until its theory
-changes; nothing is kept across processes.
+searches that differ only in symbol names run the kernel once. A
+context made by `ReasonerContext.assuming` (theory plus one assumed
+axiom) takes its parent's index extended by that axiom, so the two share
+the memo. All of it lives as long as the model's context, which the
+model keeps until its theory changes; nothing is kept across processes.
 """
 from __future__ import annotations
 

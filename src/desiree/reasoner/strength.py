@@ -26,7 +26,7 @@ from ..syntax.parser import DescBody, NLBody, QualityBody, SubsumptionBody
 from .entail import entails
 from .normal import ReasonerContext
 from .subsume import subsumes
-from .verdict import Disproved, Unknown, is_proved
+from .verdict import Disproved, is_proved
 
 VERIFIED = "verified"
 ASSERTED = "asserted"
@@ -91,8 +91,8 @@ def verify_claim(strength: str, input_elem, outputs,
         return _strengthening(input_elem, outs, ctx)
     if strength == "w":
         return _weakening(input_elem, outs, ctx)
-    return _combine_equivalence(_strengthening(input_elem, outs, ctx),
-                                _weakening(input_elem, outs, ctx))
+    return _combine([_strengthening(input_elem, outs, ctx),
+                     _weakening(input_elem, outs, ctx)])
 
 
 def _strengthening(input_elem, outs, ctx):
@@ -109,28 +109,21 @@ def _strengthening(input_elem, outs, ctx):
 
 
 def _weakening(input_elem, outs, ctx):
-    pending = None
+    legs = []
     for o in outs:
-        v = entails(input_elem, o, ctx)
-        if isinstance(v, Disproved):
-            return VIOLATED, "refuted by a counter-interpretation"
-        if isinstance(v, Unknown) and pending is None:
-            pending = v.reason
-    if pending is not None:
-        return UNDECIDED, pending
-    return VERIFIED, None
+        legs.append(_from_verdict(entails(input_elem, o, ctx)))
+        if legs[-1][0] == VIOLATED:
+            break
+    return _combine(legs)
 
 
-def _combine_equivalence(left, right):
-    for leg in (left, right):
-        if leg[0] == VIOLATED:
-            return leg
-    for leg in (left, right):
-        if leg[0] == ASSERTED:
-            return leg
-    for leg in (left, right):
-        if leg[0] == UNDECIDED:
-            return leg
+def _combine(legs):
+    """The first violated leg, else the first asserted, else the first
+    undecided; verified when every leg is."""
+    for status in (VIOLATED, ASSERTED, UNDECIDED):
+        for leg in legs:
+            if leg[0] == status:
+                return leg
     return VERIFIED, None
 
 

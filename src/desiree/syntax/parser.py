@@ -19,6 +19,7 @@ from fractions import Fraction
 from desiree.diagnostics import (
     Diagnostic,
     E_DUP,
+    E_NESTING,
     E_NOT_SUPPORTED,
     E_PARSE,
     ERROR,
@@ -44,6 +45,12 @@ STRENGTH_TAGS = ("s", "w", "e")
 
 # Slots whose fillers always parse in region context.
 REGION_SLOTS = ("has_value_in",)
+
+# Deepest nesting of parentheses and slot fillers a description may have.
+# Deeper input is rejected with E-PARSE-003, so on nested input the parser
+# and every recursive walker after it (renderer, normaliser, compiler,
+# evaluator) stay well inside Python's recursion limit.
+MAX_NESTING = 64
 
 
 class ParseError(Exception):
@@ -192,6 +199,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.allow_var = allow_var
+        self.depth = 0  # open parentheses and slot fillers
 
     # -- token plumbing ----------------------------------------------------
 
@@ -334,31 +342,33 @@ class _Parser:
                 values.append(self._value_literal())
             self.expect_sym("}")
             return ast.ValueSet(tuple(values))
-        if tok.is_sym("<=") or tok.is_sym(">="):
-            op = self.advance().text
-            num = self.parse_number()
-            if self.cur.is_sym("%"):
-                self.advance()
-                p = num / 100
-                if not (0 <= p <= 1):
-                    raise ParseError(tok.span, "percentage out of range")
-                return ast.Percent(Fraction(0), p) if op == "<=" else ast.Percent(p, Fraction(1))
-            unit = _trim_unit(self.parse_unit(bare_ok=True))
-            if op == "<=":
-                return ast.Interval(Fraction(0), num, unit)
-            return ast.Interval(num, None, unit)
-        if tok.kind == NUMBER:
-            num = self.parse_number()
-            self.expect_sym("%")
-            p = num / 100
-            if not (0 <= p <= 1):
-                raise ParseError(tok.span, "percentage out of range")
-            return ast.Percent(p, p)
+        if tok.is_sym("<=") or tok.is_sym(">=") or tok.kind == NUMBER:
+            return self._region_literal(bare_ok=True)
         if tok.kind == IDENT:
             return ast.Named(self.advance().text)
         if tok.kind == STRING:
             return ast.Named(self.advance().value)
         raise ParseError(tok.span, f"expected region, found {tok.text!r}")
+
+    def _region_literal(self, bare_ok: bool) -> ast.RegionExpr:
+        """A one-sided region `<= n` / `>= n` with `%` or an optional
+        unit, or a point percent `n%`. A bare unit name is read only
+        where bare_ok (region context)."""
+        tok = self.cur
+        op = self.advance().text if tok.kind == SYM else None
+        num = self.parse_number()
+        if op is None or self.cur.is_sym("%"):
+            self.expect_sym("%")
+            p = num / 100
+            if not 0 <= p <= 1:
+                raise ParseError(tok.span, "percentage out of range")
+            if op is None:
+                return ast.Percent(p, p)
+            return ast.Percent(Fraction(0), p) if op == "<=" else ast.Percent(p, Fraction(1))
+        unit = _trim_unit(self.parse_unit(bare_ok))
+        if op == "<=":
+            return ast.Interval(Fraction(0), num, unit)
+        return ast.Interval(num, None, unit)
 
     def _value_literal(self) -> str:
         if self.cur.kind == IDENT:
@@ -371,6 +381,17 @@ class _Parser:
 
     def parse_description(self) -> ast.Description:
         return self._diff()
+
+    def _nested_description(self, span: Span) -> ast.Description:
+        """A description one nesting level down from the construct at span."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(span, f"nested more than {MAX_NESTING} levels deep",
+                             code=E_NESTING)
+        self.depth += 1
+        try:
+            return self._diff()
+        finally:
+            self.depth -= 1
 
     def _diff(self) -> ast.Description:
         left = self._or()
@@ -440,29 +461,14 @@ class _Parser:
             return ast.Enum(tuple(members))
         if tok.is_sym("("):
             self.advance()
-            inner = self.parse_description()
+            inner = self._nested_description(tok.span)
             self.expect_sym(")")
             return inner
         if tok.is_sym("["):
             return ast.Region(self.parse_bracket_region())
-        if tok.is_sym("<=") or tok.is_sym(">="):
-            # A one-sided region in plain description position (no bare units).
-            op = self.advance().text
-            num = self.parse_number()
-            if self.cur.is_sym("%"):
-                self.advance()
-                p = num / 100
-                return ast.Region(ast.Percent(Fraction(0), p) if op == "<="
-                                  else ast.Percent(p, Fraction(1)))
-            unit = _trim_unit(self.parse_unit(bare_ok=False))
-            if op == "<=":
-                return ast.Region(ast.Interval(Fraction(0), num, unit))
-            return ast.Region(ast.Interval(num, None, unit))
-        if self._at_percent_number():
-            num = self.parse_number()
-            self.expect_sym("%")
-            p = num / 100
-            return ast.Region(ast.Percent(p, p))
+        if tok.is_sym("<=") or tok.is_sym(">=") or self._at_percent_number():
+            # A region literal in plain description position (no bare units).
+            return ast.Region(self._region_literal(bare_ok=False))
         if tok.kind == STRING:
             # A quoted name in description position is a named region;
             # bare identifiers stay concept atoms.
@@ -491,39 +497,24 @@ class _Parser:
                              "computed bounds are not supported; use a numeric literal",
                              code=E_NOT_SUPPORTED)
         elif tok.is_sym("<=") or tok.is_sym(">="):
-            op = self.advance().text
+            start = self.pos
+            self.advance()
             num = self.parse_number()
-            if region_ctx:
-                if self.cur.is_sym("%"):
-                    self.advance()
-                    p = num / 100
-                    filler = ast.Region(ast.Percent(Fraction(0), p) if op == "<="
-                                        else ast.Percent(p, Fraction(1)))
-                else:
-                    unit = _trim_unit(self.parse_unit(bare_ok=True))
-                    filler = ast.Region(ast.Interval(Fraction(0), num, unit)
-                                        if op == "<="
-                                        else ast.Interval(num, None, unit))
-            elif self.at_desc_start() and not self._at_unit_then_close():
-                cls = ast.AtMost if op == "<=" else ast.AtLeast
+            if (not region_ctx and self.at_desc_start()
+                    and not self._at_unit_then_close()):
+                cls = ast.AtMost if tok.text == "<=" else ast.AtLeast
                 modifier = _int_modifier(cls, num, tok.span,
-                                         minimum=0 if op == "<=" else 1)
-            elif self.cur.is_sym("%"):
-                self.advance()
-                p = num / 100
-                filler = ast.Region(ast.Percent(Fraction(0), p) if op == "<="
-                                    else ast.Percent(p, Fraction(1)))
+                                         minimum=0 if tok.text == "<=" else 1)
             else:
-                unit = _trim_unit(self.parse_unit(bare_ok=False))
-                filler = ast.Region(ast.Interval(Fraction(0), num, unit)
-                                    if op == "<="
-                                    else ast.Interval(num, None, unit))
+                # not a cardinality bound: read it again as a region
+                self.pos = start
+                filler = ast.Region(self._region_literal(bare_ok=region_ctx))
 
         if filler is None:
             if region_ctx:
                 filler = ast.Region(self.parse_region())
             else:
-                filler = self.parse_description()
+                filler = self._nested_description(open_span)
         if not self.cur.is_sym(">"):
             raise ParseError(open_span, f"slot <{slot}: ...> is not closed")
         self.advance()

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from desiree import cli
 from desiree.cli import main
 
 CORPUS = str(resources.files("desiree") / "corpus" / "meeting_scheduler.dsr")
@@ -78,33 +79,97 @@ def test_non_utf8_file_is_usage_error(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+def nested_slots(depth: int) -> str:
+    return "<s: " * depth + "A" + ">" * depth
+
+
+def nested_parentheses(depth: int) -> str:
+    return "(" * depth + "A" + ")" * depth
+
+
 # name -> (model text, exit status of `check`)
 DEEP_INPUTS = {
-    "3000 nested parentheses": (
-        "f F1 = " + "(" * 3000 + "A" + ")" * 3000, 3),
+    "3000 nested parentheses": ("f F1 = " + nested_parentheses(3000), 1),
+    "65 nested parentheses": ("f F1 = " + nested_parentheses(65), 1),
+    "64 nested parentheses": ("f F1 = " + nested_parentheses(64), 0),
+    "65 nested slots": ("f F1 = " + nested_slots(65), 1),
+    "64 nested slots": ("f F1 = " + nested_slots(64), 0),
     "600-term conjunction": (
         "f F1 = " + " and ".join(f"A{i}" for i in range(600)), 0),
 }
 
 
 @pytest.mark.parametrize("name", DEEP_INPUTS)
-def test_internal_error_has_its_own_status(capsys, tmp_path, name):
-    # The parentheses exhaust the parser's recursion; that is a defect,
-    # not an error in the model, so it must not exit 1 or print a
-    # traceback. The long chain parses without recursing.
+def test_deep_input_exit_status(capsys, tmp_path, name):
+    # Nesting deeper than the parser's limit is a model error at the
+    # construct that goes one level too deep; a long chain nests nothing.
     text, status = DEEP_INPUTS[name]
     f = tmp_path / "deep.dsr"
     f.write_text(text + ".\n")
     code, out, err = run(capsys, "check", str(f))
-    assert code == status
+    assert (code, err) == (status, "")
     if status == 0:
         assert out == "0 errors, 0 warnings, 0 inconsistencies\n"
-        assert err == ""
         return
+    col = len("f F1 = ") + 64 * (4 if "slots" in name else 1) + 1
+    assert out.startswith(
+        f"error: E-PARSE-003 1:{col} nested more than 64 levels deep\n")
+
+
+@pytest.mark.parametrize("depth,statuses", [
+    (64, {"check": 0, "export": 0, "fmt": 0, "entail": 0, "query": 0}),
+    (128, {"check": 1, "export": 1, "fmt": 1, "entail": 2, "query": 1}),
+])
+def test_nesting_limit_under_a_claim(capsys, tmp_path, depth, statuses):
+    # Every command stays inside the exit contract on a deep model whose
+    # claim is checked; past the limit the deep elements are not loaded,
+    # so `entail` names an unknown element.
+    f = tmp_path / "deep.dsr"
+    f.write_text(f"goal G1 = {nested_slots(depth)}.\n"
+                 f"goal G2 = {nested_slots(depth)} B.\n"
+                 "reduce(G1) [s] = {G2}.\n")
+    argvs = {"check": ["check", str(f)], "export": ["export", str(f)],
+             "fmt": ["fmt", str(f)], "entail": ["entail", str(f), "G2", "G1"],
+             "query": ["query", str(f), "A"]}
+    for command, argv in argvs.items():
+        code, out, err = run(capsys, *argv)
+        assert code == statuses[command], command
+        assert "internal error" not in err
+        if code == 1:
+            assert "E-PARSE-003" in out + err
+
+
+def test_internal_error_has_its_own_status(capsys, monkeypatch):
+    # A defect in desiree, not an error in the model: one line on stderr,
+    # no traceback, status 3.
+    def broken_loader(*args, **kwargs):
+        raise RecursionError("maximum recursion depth\n exceeded")
+
+    monkeypatch.setattr(cli, "load_model", broken_loader)
+    code, out, err = run(capsys, "check", CLEAN)
+    assert code == 3
     assert out == ""
-    assert err.startswith("internal error: RecursionError: ")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err == ("internal error: RecursionError: "
+                   "maximum recursion depth exceeded\n")
+
+
+@pytest.mark.parametrize("text,col", [
+    ("f F1 = <=150%.", 8),
+    ("f F1 = 150%.", 8),
+    ("f F1 = 100/3% | 150%.", 17),
+    ("f F1 = <has_value_in: <=150%>.", 23),
+    ("f F1 = <has_value_in: 150%>.", 23),
+    ("f F1 = <s: >=150%>.", 12),
+    ("qc QC = Availability ({sys}) :: >=150%.", 33),
+    ("qc QC = Availability ({sys}) :: 150%.", 33),
+])
+def test_percent_out_of_range_in_every_position(capsys, tmp_path, text, col):
+    f = tmp_path / "pct.dsr"
+    f.write_text(text + "\n")
+    code, out, err = run(capsys, "check", str(f))
+    assert (code, err) == (1, "")
+    assert out.startswith(
+        f"error: E-PARSE-001 1:{col} percentage out of range\n")
 
 
 @pytest.mark.parametrize("op", [" & ", " | ", " - ", " and ", "."])

@@ -4,14 +4,18 @@ alignment, relaxed universals, and subsumption-form constraints."""
 from fractions import Fraction
 from types import SimpleNamespace
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from desiree.reasoner.entail import (
     constraint_entails,
     entails,
     function_refines,
     quality_entails,
 )
-from desiree.reasoner.normal import ReasonerContext
-from desiree.reasoner.semantics import replay_witness
+from desiree.reasoner.normal import ReasonerContext, structural_subsumes
+from desiree.reasoner.oracle import BoundsExceeded, oracle_disprove
+from desiree.reasoner.semantics import replay_witness, satisfies_axioms
 from desiree.reasoner.subsume import subsumes
 from desiree.reasoner.verdict import Disproved, Unknown, is_proved
 from desiree.syntax import ast
@@ -286,6 +290,100 @@ class TestConstraintRule:
         e1 = elem("fc", sb("Search :< <actor: ONLY Registered_user>"))
         e2 = elem("fc", sb("Search :< <actor: ONLY User>"))
         assert is_proved(entails(e1, e2, ctx))
+
+    def test_chain_proves_under_a_complex_assumption(self):
+        # The assumed left side is no atom, so the assumption never joins
+        # the told consequences: only the chain proves the claim.
+        ctx = ReasonerContext()
+        b1 = sb("Search <actor: User> :< Logged")
+        b2 = sb("Search <actor: User> Fast :< Logged | Audited")
+        ctx2 = ctx.assuming((b1.lhs, b1.rhs))
+        assert not structural_subsumes(b2.lhs, b2.rhs, ctx2)
+        assert is_proved(constraint_entails(b1, b2, ctx))
+
+    def test_overflowing_chain_is_unknown(self):
+        b1, b2 = sb("A | B :< C"), sb("A | B :< C | D")
+        assert is_proved(constraint_entails(b1, b2, ReasonerContext()))
+        v = constraint_entails(b1, b2, ReasonerContext(max_dnf=1))
+        assert v == Unknown("normal form too large; no bounded counterexample")
+
+    def test_true_but_unproved_is_unknown(self):
+        # U :< R | Q holds, but the prover does not split told
+        # disjunctions and the search finds nothing to refute.
+        v = constraint_entails(sb("P :< R"), sb("U :< R | Q"),
+                               ctx_with("U :< P | Q"))
+        assert v == Unknown("no structural proof; no bounded counterexample")
+
+
+# ---------------------------------------------------------------------------
+# Assumption contexts.
+
+
+class TestAssuming:
+    def test_cached_per_axiom_and_sharing_the_search_memo(self):
+        ctx = ctx_with("Advanced_search :< Search", disjoints=[("A", "B")])
+        ax = (D("Search"), D("<actor: ONLY User>"))
+        ctx2 = ctx.assuming(ax)
+        assert ctx.assuming(ax) is ctx2
+        assert ctx.assuming((D("Search"), D("Fast"))) is not ctx2
+        assert ctx2.axioms == ctx.axioms + [ax]
+        assert ctx2.disjoints == ctx.disjoints
+        assert ctx2.axiom_index().memo is ctx.axiom_index().memo
+        assert ctx2.axiom_index().axioms == ctx.axiom_pairs() + [ax]
+
+    def test_one_context_per_distinct_assumption(self, monkeypatch):
+        ctx = ctx_with("Advanced_search :< Search")
+        built = []
+        post_init = ReasonerContext.__post_init__
+
+        def counted(self):
+            built.append(len(self.axioms))
+            post_init(self)
+
+        monkeypatch.setattr(ReasonerContext, "__post_init__", counted)
+        firsts = [sb("Search :< <actor: ONLY Registered_user>"),
+                  sb("Alpha :< Beta")]
+        seconds = [sb("Advanced_search :< <actor: ONLY Registered_user>"),
+                   sb("Alpha :< Gamma"), sb("Nothing :< Gamma")]
+        for _ in range(2):
+            for b1 in firsts:
+                for b2 in seconds:
+                    constraint_entails(b1, b2, ctx)
+        assert built == [2, 2]
+
+
+constraint_sides = st.recursive(
+    st.sampled_from("ABCD").map(ast.Atom),
+    lambda sub: st.one_of(
+        st.builds(ast.And, sub, sub),
+        st.builds(ast.Or, sub, sub),
+        st.builds(ast.Diff, sub, sub),
+        st.builds(ast.Slot, st.just("s"), st.just(ast.ExactlyOne()), sub)),
+    max_leaves=3)
+constraints = st.builds(SubsumptionBody, constraint_sides, constraint_sides)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(constraint_sides, constraint_sides), max_size=4),
+       st.booleans(), constraints, constraints)
+def test_constraint_entailment_agrees_with_the_search(axioms, disjoint,
+                                                      b1, b2):
+    ctx = ReasonerContext(axioms=axioms,
+                          disjoints=[("A", "B")] if disjoint else [])
+    theory = ctx.axiom_pairs() + [(b1.lhs, b1.rhs)]
+    v = constraint_entails(b1, b2, ctx)
+    if is_proved(v):
+        try:
+            w = oracle_disprove(b2.lhs, b2.rhs, theory)
+        except BoundsExceeded:
+            w = None
+        assert w is None, f"proved yet refuted: {w.to_json()}"
+    if isinstance(v, Disproved):
+        assert replay_witness(v.witness)
+        assert satisfies_axioms(v.witness.interp, theory)
+    # the cached assumption context answers the same when asked again
+    assert constraint_entails(b1, b2, ctx) == v
 
 
 # ---------------------------------------------------------------------------
