@@ -66,12 +66,10 @@ def scanned(pairs):
     n = 0
     for d1, d2, axioms in pairs:
         selected = select_axioms(d1, d2, axioms)
-        table, total, progs, bounds, enum_table = build_problem(
-            d1, d2, selected)
+        table, total, programs = build_problem(d1, d2, selected)
         idx = kernels.find_violation(
             total, table.k, table.gamma, len(table.atoms), len(table.slots),
-            len(table.named), len(table.inds), len(selected), progs, bounds,
-            enum_table)
+            len(table.named), len(table.inds), programs)
         n += total if idx < 0 else idx + 1
     return n
 

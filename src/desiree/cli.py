@@ -115,10 +115,13 @@ def cmd_check(args) -> int:
 
 def cmd_entail(args) -> int:
     m = _load(args)
+    for d in m.diagnostics:
+        _print_diag(d)
     for ident in (args.id1, args.id2):
         if ident not in m.elements:
             raise UsageError(f"unknown element {ident!r}")
     v = entails(m.elements[args.id1], m.elements[args.id2], m.context())
+    status = 1 if has_errors(m.diagnostics) else 0
     if args.json:
         doc = {"verdict": type(v).__name__.lower()}
         if isinstance(v, Disproved):
@@ -126,7 +129,7 @@ def cmd_entail(args) -> int:
         elif isinstance(v, Unknown):
             doc["reason"] = v.reason
         _emit_json(doc)
-        return 0
+        return status
     if isinstance(v, Proved):
         print("Proved")
     elif isinstance(v, Disproved):
@@ -137,7 +140,7 @@ def cmd_entail(args) -> int:
         print(f"  witness: {w.to_json()}")
     else:
         print(f"Unknown: {v.reason}")
-    return 0
+    return status
 
 
 def cmd_query(args) -> int:

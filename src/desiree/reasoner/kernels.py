@@ -1,18 +1,33 @@
-"""The interpretation-enumeration kernel.
+"""The bounded search's program format, index layout and kernel.
 
 find_violation walks interpretation indices in ascending order and
 returns the smallest index whose interpretation satisfies every axiom
 yet puts some element in d1 outside d2 (-1 when the range is clean).
 
+A program (compile.assemble) is a tuple of postfix instructions
+(op, a, b, c) over fields: the kernel runs it without recursion or
+translation. Every field holds a mask over the universe, one bit per
+element: k individuals, then gamma grid points.
+  PUSH_ATOM  a=field of an atom or a named region
+  PUSH_FIXED a=the mask itself
+  PUSH_ENUM  a=tuple of the members' fields
+  AND / OR / DIFF pop two masks
+  SLOT_COUNT a=field of the slot's first row, b=min count, c=max count
+             (-1 for unbounded); pops the filler mask
+  SLOT_ONLY  a=field of the slot's first row; pops the filler mask
+  PROJ       a=field of the slot's first row; pops the base mask
+
 Index layout, least significant first: individual assignments (radix k),
-named-region bits (gamma per region), slot bits (k+gamma per source, per
-slot), atom bits (k per atom). The decoder in oracle.py mirrors this.
+then the bit fields in field order. field_bases numbers the fields:
+named region j (gamma bits, over the grid), slot s's row x (k + gamma
+bits, the targets of individual x), atom a (k bits), then individual i,
+whose value is the bit of its element. _Split reads the index of a
+chunk of lanes, decode_interpretation one index as an Interpretation.
 
 The search scans chunks of consecutive indices, each index read as
 hi * lanes + lo. The low part is a whole number of low digits: radix-k
 individual digits first, then stream bits once every individual digit
-is in, at most MAX_LANES indices in all. Every field (an individual's
-digit, a named region, a slot row, an atom) then reads only lo
+is in, at most MAX_LANES indices in all. Every field then reads only lo
 (invariant: the same lane array in every chunk), only hi (chunk-constant:
 one value per chunk) or, for at most one bit field, both (it straddles
 the split).
@@ -34,22 +49,24 @@ the smallest violating index is returned.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from desiree.reasoner.compile import (
-    OP_AND,
-    OP_DIFF,
-    OP_OR,
-    OP_PROJ,
-    OP_PUSH_ALL,
-    OP_PUSH_ATOM,
-    OP_PUSH_ENUM,
-    OP_PUSH_FIXED,
-    OP_PUSH_NAMED,
-    OP_PUSH_NONE,
-    OP_SLOT_COUNT,
-    OP_SLOT_ONLY,
-)
+from desiree.reasoner.interp import Interpretation
+
+if TYPE_CHECKING:
+    from desiree.reasoner.compile import SymbolTable
+
+OP_PUSH_ATOM = 0
+OP_PUSH_FIXED = 1
+OP_PUSH_ENUM = 2
+OP_AND = 3
+OP_OR = 4
+OP_DIFF = 5
+OP_SLOT_COUNT = 6
+OP_SLOT_ONLY = 7
+OP_PROJ = 8
 
 # Indices per chunk. An early witness wastes less of a small chunk and a
 # chunk's arrays stay in cache; much below 2^12 the per-chunk work in
@@ -68,23 +85,68 @@ def backend_name() -> str:
     return "numpy"
 
 
+def field_bases(k, n_named, n_slots, n_atoms):
+    """The first field of the slot rows, the atoms and the individuals.
+
+    Named region j is field j; row x of slot s is slot0 + s * k + x,
+    atom a is atom0 + a and individual i is ind0 + i.
+    """
+    slot0 = n_named
+    atom0 = slot0 + n_slots * k
+    return slot0, atom0, atom0 + n_atoms
+
+
+def _bit_fields(k, gamma, n_named, n_slots, n_atoms):
+    """(offset, width, shift into the mask) of every bit field, in field
+    order; offsets count from the first bit above the individual digits."""
+    slot0, atom0, ind0 = field_bases(k, n_named, n_slots, n_atoms)
+    kinds = ([(gamma, k)] * slot0 + [(k + gamma, 0)] * (atom0 - slot0)
+             + [(k, 0)] * (ind0 - atom0))
+    out, off = [], 0
+    for width, shift in kinds:
+        out.append((off, width, shift))
+        off += width
+    return out
+
+
+def decode_interpretation(idx: int, table: SymbolTable) -> Interpretation:
+    """The explicit interpretation at one enumeration index."""
+    k, u = table.k, table.k + table.gamma
+    slot0, atom0, _ind0 = field_bases(k, len(table.named), len(table.slots),
+                                      len(table.atoms))
+    individuals = {name: idx // k ** i % k for name, i in table.inds.items()}
+    bits = idx // k ** len(table.inds)
+    masks = [((bits >> off) & ((1 << width) - 1)) << shift
+             for off, width, shift in _bit_fields(
+                 k, table.gamma, len(table.named), len(table.slots),
+                 len(table.atoms))]
+
+    def members(mask):
+        return frozenset(e for e in range(u) if mask >> e & 1)
+
+    named = {name: members(masks[j]) for name, j in table.named.items()}
+    slots = {name: frozenset((x, y) for x in range(k)
+                             for y in members(masks[slot0 + s * k + x]))
+             for name, s in table.slots.items()}
+    atoms = {name: members(masks[atom0 + a])
+             for name, a in table.atoms.items()}
+    return Interpretation(k, table.grid, atoms, slots, named, individuals)
+
+
 class _Split:
     """The split of every index into hi * lanes + lo, lo < lanes.
 
-    Field ids: named region j, then slot s's row x at s * k + x, then
-    atom a, then individual i (its value is the bit of its element).
-    `reads[f]` says whether field f depends on lo, hi or both; `env0`
-    holds the lane arrays of the fields that depend on lo alone, decoded
-    once per search, and fields(hi) completes it for one chunk.
+    Fields are numbered as in field_bases. `reads[f]` says whether field
+    f depends on lo, hi or both; `env0` holds the lane arrays of the
+    fields that depend on lo alone, decoded once per search, and
+    fields(hi) completes it for one chunk.
     """
 
     def __init__(self, total, k, gamma, n_atoms, n_slots, n_named, n_inds):
         self.k, self.n_inds = k, n_inds
         self.full = (1 << (k + gamma)) - 1
         self.dtype = np.uint8 if k + gamma <= 8 else np.uint16
-        self.slot0 = n_named
-        self.atom0 = self.slot0 + n_slots * k
-        self.ind0 = self.atom0 + n_atoms
+        self.ind0 = field_bases(k, n_named, n_slots, n_atoms)[2]
         # The low part: whole individual digits while they fit, then,
         # once every individual digit is in, stream bits while they fit.
         # total is k ** n_inds times a power of two, so lanes divides it.
@@ -102,16 +164,10 @@ class _Split:
         for _ in range(self.lo_inds):
             lo_assign.append((1 << rest % k).astype(self.dtype))
             rest = rest // k
-        # Bit fields in stream order: (offset, width, shift into the mask).
-        u = k + gamma
-        fields = [(j * gamma, gamma, k) for j in range(n_named)]
-        off = n_named * gamma
-        fields += [(off + i * u, u, 0) for i in range(n_slots * k)]
-        off += n_slots * k * u
-        fields += [(off + a * k, k, 0) for a in range(n_atoms)]
         self.straddle = None  # (field, low part, shift of hi, hi mask)
         self.hi_fields = []   # (field, offset above the split, mask, shift)
-        for f, (off, width, shift) in enumerate(fields):
+        bit_fields = _bit_fields(k, gamma, n_named, n_slots, n_atoms)
+        for f, (off, width, shift) in enumerate(bit_fields):
             mask = (1 << width) - 1
             value = None
             if off + width <= lo_bits:
@@ -196,14 +252,13 @@ def _run(code, env, k, full, dtype):
     return stack[0]
 
 
-def _specialise(instrs, enum_table, split):
-    """One program of compile.py, ready for the chunk loop: (code, reads).
+def _specialise(instrs, split):
+    """One program, ready for the chunk loop: (code, reads).
 
     Every maximal sub-expression that reads no hi field is computed here
     and replaced by one PUSH_FIXED of its value, so a program that reads
-    no hi field becomes a single PUSH_FIXED. Fields are renumbered as in
-    _Split, and AND, OR and DIFF are folded where an operand is 0 or the
-    full mask.
+    no hi field becomes a single PUSH_FIXED. AND, OR and DIFF are folded
+    where an operand is 0 or the full mask.
     """
     k, full = split.k, split.full
     code = []
@@ -219,7 +274,8 @@ def _specialise(instrs, enum_table, split):
             return value
         return None
 
-    for op, a, b, c in instrs:
+    for instr in instrs:
+        op, a, _b, _c = instr
         if op in (OP_AND, OP_OR, OP_DIFF):
             (s1, r1), (s2, r2) = operands[-2:]
             del operands[-2:]
@@ -244,22 +300,16 @@ def _specialise(instrs, enum_table, split):
                     operands.append((s1, 0))
                     continue
             operands.append((s1, r1 | r2))
-            code.append((op, 0, 0, 0))
+            code.append(instr)
             continue
-        if op in (OP_PUSH_ATOM, OP_PUSH_NAMED):
-            fields = (a if op == OP_PUSH_NAMED else split.atom0 + a,)
-            instr = (OP_PUSH_ATOM, fields[0], 0, 0)
+        if op == OP_PUSH_ATOM:
+            fields = (a,)
         elif op == OP_PUSH_ENUM:
-            fields = tuple(split.ind0 + i for i in enum_table[a:a + b])
-            instr = (OP_PUSH_ENUM, fields, 0, 0)
-        elif op in (OP_PUSH_FIXED, OP_PUSH_ALL, OP_PUSH_NONE):
+            fields = a
+        elif op == OP_PUSH_FIXED:
             fields = ()
-            value = {OP_PUSH_FIXED: a, OP_PUSH_ALL: full, OP_PUSH_NONE: 0}[op]
-            instr = (OP_PUSH_FIXED, value, 0, 0)
-        else:  # a slot operation on the k rows of slot a
-            first = split.slot0 + a * k
-            fields = tuple(range(first, first + k))
-            instr = (op, first, b, c)
+        else:  # a slot operation on the k rows from field a
+            fields = range(a, a + k)
         start, r = len(code), 0
         for f in fields:
             r |= split.reads[f]
@@ -302,26 +352,24 @@ def find_violation(
     n_slots: int,
     n_named: int,
     n_inds: int,
-    n_axioms: int,
-    progs: np.ndarray,
-    bounds: np.ndarray,
-    enum_table: np.ndarray,
+    programs: tuple,
 ) -> int:
-    """The smallest index below total that violates the search, or -1."""
+    """The smallest index below total that violates the search, or -1.
+
+    programs holds the programs of d1 and d2, then the left and right
+    side of each axiom.
+    """
     split = _Split(total, k, gamma, n_atoms, n_slots, n_named, n_inds)
-    progs, bounds = progs.tolist(), bounds.tolist()
-    enum_table = enum_table.tolist()
 
     def violation(row):
-        """The elements of description row outside description row + 1."""
-        (a0, a1), (b0, b1) = bounds[row], bounds[row + 1]
-        instrs = progs[a0:a1] + progs[b0:b1] + [(OP_DIFF, 0, 0, 0)]
-        return _specialise(instrs, enum_table, split)
+        """The elements of program row outside program row + 1."""
+        instrs = programs[row] + programs[row + 1] + ((OP_DIFF, 0, 0, 0),)
+        return _specialise(instrs, split)
 
     base = True
     checks = []
-    for ai in range(n_axioms):
-        code, reads = violation(2 + 2 * ai)
+    for row in range(2, len(programs), 2):
+        code, reads = violation(row)
         if reads & HI:
             checks.append((reads, code))
         else:

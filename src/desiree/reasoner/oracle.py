@@ -16,12 +16,13 @@ first search: every axiom's symbol set, whether its left side is
 universal, and a map from symbol to axioms. Selecting the axioms of a
 search walks that map from the pair's symbols instead of the whole
 theory. The index also carries the search memo: the kernel's answer
-per compiled problem (every argument of kernels.find_violation), so
-searches that differ only in symbol names run the kernel once. A
-context made by `ReasonerContext.assuming` (theory plus one assumed
-axiom) takes its parent's index extended by that axiom, so the two share
-the memo. All of it lives as long as the model's context, which the
-model keeps until its theory changes; nothing is kept across processes.
+per compiled problem, keyed by the arguments of kernels.find_violation
+(the counts of the search and its tuple of programs), so searches that
+differ only in symbol names run the kernel once. A context made by
+`ReasonerContext.assuming` (theory plus one assumed axiom) takes its
+parent's index extended by that axiom, so the two share the memo. All
+of it lives as long as the model's context, which the model keeps until
+its theory changes; nothing is kept across processes.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 from desiree.reasoner import kernels
 from desiree.reasoner.compile import SymbolTable, assemble
-from desiree.reasoner.interp import GridPoint, Interpretation, Witness
+from desiree.reasoner.interp import GridPoint, Witness
 from desiree.reasoner.semantics import satisfies_axioms, violates_subsumption
 from desiree.syntax import ast
 from desiree.syntax.render import render_description
@@ -44,18 +45,9 @@ class BoundsExceeded(Exception):
 
 
 def symbols_of(d: ast.Description) -> frozenset[str]:
-    out = set()
-    for node in ast.walk(d):
-        if isinstance(node, ast.Atom):
-            if node.name not in ("Anything", "Nothing"):
-                out.add(node.name)
-        elif isinstance(node, (ast.Slot, ast.Proj)):
-            out.add(node.slot)
-        elif isinstance(node, ast.Enum):
-            out.update(node.members)
-        elif isinstance(node, ast.Region) and isinstance(node.expr, ast.Named):
-            out.add(node.expr.name)
-    return frozenset(out)
+    """The atoms, slots, named regions and individuals d mentions."""
+    atoms, slots, named, inds, *_ = _census([d])
+    return frozenset(atoms | slots | named | inds)
 
 
 def _nonempty_when_empty(d: ast.Description) -> bool:
@@ -93,8 +85,9 @@ class AxiomIndex:
     Holds each axiom's symbol set, which axioms are universal (their left
     side may be nonempty with every symbol empty), and a map from each
     symbol to the positions of the axioms that mention it. `memo` maps a
-    compiled search problem to the kernel's answer; an index made by
-    `extended` shares it.
+    compiled search problem to the kernel's answer, and `programs` holds
+    one copy of each program in the memo's keys; an index made by
+    `extended` shares both.
     """
 
     def __init__(self, axioms: list[AxiomPair] | tuple[AxiomPair, ...] = ()):
@@ -103,6 +96,7 @@ class AxiomIndex:
         self.universal: list[int] = []
         self.by_symbol: dict[str, list[int]] = {}
         self.memo: dict = {}
+        self.programs: dict = {}
         for ax in axioms:
             self._add(ax)
 
@@ -127,7 +121,7 @@ class AxiomIndex:
         new.syms = list(self.syms)
         new.universal = list(self.universal)
         new.by_symbol = dict(self.by_symbol)
-        new.memo = self.memo
+        new.memo, new.programs = self.memo, self.programs
         lhs, rhs = axiom
         for s in symbols_of(lhs) | symbols_of(rhs):
             new.by_symbol[s] = list(self.by_symbol.get(s, ()))
@@ -245,7 +239,8 @@ def build_problem(
     d2: ast.Description,
     axioms: list[AxiomPair],
 ):
-    """Symbol table plus compiled programs for the pair and its axioms."""
+    """(table, total, programs): the symbol table, the number of
+    interpretations and the programs of d1, d2 and each axiom's sides."""
     descs = [d1, d2]
     for lhs, rhs in axioms:
         descs.append(lhs)
@@ -265,40 +260,7 @@ def build_problem(
         named={r: i for i, r in enumerate(sorted(named))},
         inds={x: i for i, x in enumerate(sorted(inds))},
     )
-    progs, bounds, enum_table = assemble(descs, table)
-    return table, total, progs, bounds, enum_table
-
-
-def decode_interpretation(idx: int, table: SymbolTable) -> Interpretation:
-    """Rebuild the explicit interpretation at one enumeration index."""
-    k, gamma = table.k, table.gamma
-    u = k + gamma
-    rest = idx
-    individuals = {}
-    for name in sorted(table.inds, key=table.inds.__getitem__):
-        individuals[name] = rest % k
-        rest //= k
-    named_regions = {}
-    for name in sorted(table.named, key=table.named.__getitem__):
-        bits = rest & ((1 << gamma) - 1)
-        rest >>= gamma
-        named_regions[name] = frozenset(
-            k + g for g in range(gamma) if bits >> g & 1)
-    slots = {}
-    for name in sorted(table.slots, key=table.slots.__getitem__):
-        pairs = set()
-        for x in range(k):
-            m = rest & ((1 << u) - 1)
-            rest >>= u
-            pairs.update((x, y) for y in range(u) if m >> y & 1)
-        slots[name] = frozenset(pairs)
-    atoms = {}
-    for name in sorted(table.atoms, key=table.atoms.__getitem__):
-        m = rest & ((1 << k) - 1)
-        rest >>= k
-        atoms[name] = frozenset(x for x in range(k) if m >> x & 1)
-    return Interpretation(k, table.grid, atoms, slots, named_regions,
-                          individuals)
+    return table, total, assemble(descs, table)
 
 
 def oracle_disprove(
@@ -319,17 +281,19 @@ def oracle_disprove(
     """
     index = axioms if isinstance(axioms, AxiomIndex) else AxiomIndex(axioms)
     selected = select_axioms(d1, d2, index)
-    table, total, progs, bounds, enum_table = build_problem(d1, d2, selected)
-    args = (total, table.k, table.gamma, len(table.atoms), len(table.slots),
-            len(table.named), len(table.inds), len(selected))
-    key = args + (progs.tobytes(), bounds.tobytes(), enum_table.tobytes())
+    table, total, programs = build_problem(d1, d2, selected)
+    key = (total, table.k, table.gamma, len(table.atoms), len(table.slots),
+           len(table.named), len(table.inds), programs)
     idx = index.memo.get(key)
     if idx is None:
-        idx = kernels.find_violation(*args, progs, bounds, enum_table)
-        index.memo[key] = idx
+        idx = kernels.find_violation(*key)
+        # Few programs are distinct (51 in the 4,504 of an entail-search
+        # pass); a copy per key had the garbage collector run 40% more.
+        programs = tuple(index.programs.setdefault(p, p) for p in programs)
+        index.memo[key[:-1] + (programs,)] = idx
     if idx < 0:
         return None
-    interp = decode_interpretation(idx, table)
+    interp = kernels.decode_interpretation(idx, table)
     viol = violates_subsumption(interp, d1, d2)
     if not viol or not satisfies_axioms(interp, selected):
         raise RuntimeError("kernel disagrees with the reference evaluator")

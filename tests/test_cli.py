@@ -116,18 +116,39 @@ def test_deep_input_exit_status(capsys, tmp_path, name):
         f"error: E-PARSE-003 1:{col} nested more than 64 levels deep\n")
 
 
-@pytest.mark.parametrize("depth,statuses", [
-    (64, {"check": 0, "export": 0, "fmt": 0, "entail": 0, "query": 0}),
-    (128, {"check": 1, "export": 1, "fmt": 1, "entail": 2, "query": 1}),
-])
-def test_nesting_limit_under_a_claim(capsys, tmp_path, depth, statuses):
+def nested_conjunction(depth: int) -> str:
+    return "A & (" * depth + "A" + ")" * depth
+
+
+CLAIM = "reduce(G1) [s] = {G2}.\n"
+# name -> (model text, exit status per command, the diagnostic a failing
+# command prints, the first line `entail G2 G1` prints)
+NESTED_CLAIMS = {
+    "64 nested slots": (
+        f"goal G1 = {nested_slots(64)}.\ngoal G2 = {nested_slots(64)} B.\n",
+        {"check": 0, "export": 0, "fmt": 0, "entail": 0, "query": 0},
+        None, "Proved"),
+    "128 nested slots": (
+        f"goal G1 = {nested_slots(128)}.\n"
+        f"goal G2 = {nested_slots(128)} B.\n",
+        {"check": 1, "export": 1, "fmt": 1, "entail": 2, "query": 1},
+        "E-PARSE-003", ""),
+    # 65 operands wait on the evaluation stack before the first `&`
+    "64 nested conjunctions": (
+        f"goal G1 = {nested_conjunction(64)}.\ngoal G2 = B.\n",
+        {"check": 1, "export": 1, "fmt": 0, "entail": 1, "query": 1},
+        "E-STR-002", "Disproved"),
+}
+
+
+@pytest.mark.parametrize("name", NESTED_CLAIMS)
+def test_nesting_limit_under_a_claim(capsys, tmp_path, name):
     # Every command stays inside the exit contract on a deep model whose
     # claim is checked; past the limit the deep elements are not loaded,
-    # so `entail` names an unknown element.
+    # so `entail` names an unknown element after the parse errors.
+    text, statuses, diagnostic, verdict = NESTED_CLAIMS[name]
     f = tmp_path / "deep.dsr"
-    f.write_text(f"goal G1 = {nested_slots(depth)}.\n"
-                 f"goal G2 = {nested_slots(depth)} B.\n"
-                 "reduce(G1) [s] = {G2}.\n")
+    f.write_text(text + CLAIM)
     argvs = {"check": ["check", str(f)], "export": ["export", str(f)],
              "fmt": ["fmt", str(f)], "entail": ["entail", str(f), "G2", "G1"],
              "query": ["query", str(f), "A"]}
@@ -135,8 +156,10 @@ def test_nesting_limit_under_a_claim(capsys, tmp_path, depth, statuses):
         code, out, err = run(capsys, *argv)
         assert code == statuses[command], command
         assert "internal error" not in err
-        if code == 1:
-            assert "E-PARSE-003" in out + err
+        if code != 0:
+            assert diagnostic in out + err, command
+        if command == "entail":
+            assert out.partition("\n")[0] == verdict
 
 
 def test_internal_error_has_its_own_status(capsys, monkeypatch):

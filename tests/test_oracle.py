@@ -14,7 +14,6 @@ from desiree.reasoner.oracle import (
     BoundsExceeded,
     _nonempty_when_empty,
     build_problem,
-    decode_interpretation,
     oracle_disprove,
     select_axioms,
     symbols_of,
@@ -32,9 +31,9 @@ from gen_strategies import descriptions
 
 def scalar_first(d1, d2, axioms, limit=10000):
     """First violating index found by the reference evaluator."""
-    table, total, _p, _b, _e = build_problem(d1, d2, axioms)
+    table, total, _programs = build_problem(d1, d2, axioms)
     for idx in range(min(total, limit)):
-        interp = decode_interpretation(idx, table)
+        interp = kernels.decode_interpretation(idx, table)
         if not satisfies_axioms(interp, axioms):
             continue
         if violates_subsumption(interp, d1, d2):
@@ -44,11 +43,10 @@ def scalar_first(d1, d2, axioms, limit=10000):
 
 def kernel_on(d1, d2, axioms):
     """The kernel's index on the problem of exactly these axioms."""
-    table, total, progs, bounds, enum_table = build_problem(d1, d2, axioms)
+    table, total, programs = build_problem(d1, d2, axioms)
     return kernels.find_violation(
         total, table.k, table.gamma, len(table.atoms), len(table.slots),
-        len(table.named), len(table.inds), len(axioms), progs, bounds,
-        enum_table)
+        len(table.named), len(table.inds), programs)
 
 
 def kernel_first(d1, d2, axioms):
@@ -264,6 +262,8 @@ def test_named_region_needs_axiom():
     w = oracle_disprove(fast, slow)
     assert w is not None
     assert replay_witness(w)
+    # a named region holds grid points only
+    assert w.interp.named_regions["Fast"] <= set(w.interp.grid_indices())
     assert oracle_disprove(fast, slow, [(fast, slow)]) is None
 
 
@@ -454,17 +454,16 @@ def kernel_problems(draw):
 
 def kernel_cases(d1, d2, axioms, reads, visits, got):
     """The specialisation cases one search meets."""
-    table, total, progs, _bounds, enum_table = build_problem(d1, d2, axioms)
+    table, total, programs = build_problem(d1, d2, axioms)
     split = kernels._Split(total, table.k, table.gamma, len(table.atoms),
                            len(table.slots), len(table.named),
                            len(table.inds))
     cases = set()
     if split.straddle is not None:
         cases.add("straddling field")
-    for op, a, b, _c in progs:
-        members = enum_table[a:a + b]
-        if (op == kernels.OP_PUSH_ENUM and min(members) < split.lo_inds
-                <= max(members)):
+    for op, a, _b, _c in sum(programs, ()):
+        if (op == kernels.OP_PUSH_ENUM
+                and min(a) < split.ind0 + split.lo_inds <= max(a)):
             cases.add("enum split")
     for r in reads[:len(axioms)]:
         if r == kernels.LO:
