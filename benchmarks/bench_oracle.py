@@ -9,15 +9,16 @@ quickly; the kernel still pays for specialising the search and for the
 rest of the witness's chunk.
 
 Each group reports interpretations per second: the indices the kernel
-visits (through the first hit, or all of them) over the whole search
-time, axiom selection and compilation included.
+visits at each k it tries, smallest first (through the first hit, or all
+of them), over the whole search time, axiom selection and compilation
+included.
 """
 
 import time
 
 from desiree.reasoner import kernels
 from desiree.reasoner.oracle import (
-    build_problem,
+    build_problems,
     oracle_disprove,
     select_axioms,
 )
@@ -62,15 +63,19 @@ def run_once(pairs):
 
 
 def scanned(pairs):
-    """Interpretations the kernel visits: through the first hit, or all."""
+    """Interpretations the kernel visits at each k, smallest first:
+    through the first hit, or all of them."""
     n = 0
     for d1, d2, axioms in pairs:
         selected = select_axioms(d1, d2, axioms)
-        table, total, programs = build_problem(d1, d2, selected)
-        idx = kernels.find_violation(
-            total, table.k, table.gamma, len(table.atoms), len(table.slots),
-            len(table.named), len(table.inds), programs)
-        n += total if idx < 0 else idx + 1
+        for table, total, programs in build_problems(d1, d2, selected):
+            idx = kernels.find_violation(
+                total, table.k, table.gamma, len(table.atoms),
+                len(table.slots), len(table.named), len(table.inds),
+                programs)
+            n += total if idx < 0 else idx + 1
+            if idx >= 0:
+                break
     return n
 
 

@@ -12,7 +12,7 @@ disproved. Counterexamples are the oracle's job.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from desiree.reasoner.oracle import AxiomIndex
 from desiree.reasoner.regions import (
@@ -43,24 +43,36 @@ class ReasonerContext:
     A context is built once per theory and kept as long as the theory
     does not change; its caches (the structural memo, the search index
     and its memo, the contexts made by `assuming`) live as long as it
-    does.
+    does. A context made by `assuming` is given its parent as `base` and
+    starts from the parent's tables, copying only the lists that the
+    assumed axiom extends.
     """
 
     axioms: list[tuple[ast.Description, ast.Description]] = field(
         default_factory=list)
     disjoints: list[tuple[str, str]] = field(default_factory=list)
     max_dnf: int = DEFAULT_MAX_DNF
+    # the context whose axioms begin this one's (given by `assuming`); not
+    # kept, so a context and its assumption contexts form no cycle
+    base: InitVar["ReasonerContext | None"] = None
 
-    def __post_init__(self):
+    def __post_init__(self, base=None):
         self.atom_axioms: dict[str, list[ast.Description]] = {}
         self.region_edges: list[tuple[str, str]] = []
-        for lhs, rhs in self.axioms:
+        for lhs, rhs in self.axioms[len(base.axioms) if base else 0:]:
             if isinstance(lhs, ast.Atom) and _side_name(lhs):
                 self.atom_axioms.setdefault(lhs.name, []).append(rhs)
             n1, n2 = _side_name(lhs), _side_name(rhs)
             if n1 and n2:
                 self.region_edges.append((n1, n2))
-        self.disjoint_pairs = {frozenset(p) for p in self.disjoints}
+        if base is None:
+            self.disjoint_pairs = {frozenset(p) for p in self.disjoints}
+        else:
+            self.atom_axioms = base.atom_axioms | {
+                a: base.atom_axioms.get(a, []) + rhss
+                for a, rhss in self.atom_axioms.items()}
+            self.region_edges = base.region_edges + self.region_edges
+            self.disjoint_pairs = base.disjoint_pairs
         self.memo: dict = {}
         # structural_subsumes' open queries (to their depth) and the
         # outermost depth whose cycle guard the current query has read
@@ -88,7 +100,7 @@ class ReasonerContext:
         search index extends this one's, so they share the kernel memo."""
         if axiom not in self._assumed:
             ctx = ReasonerContext(self.axioms + [axiom], self.disjoints,
-                                  self.max_dnf)
+                                  self.max_dnf, base=self)
             ctx._index = self.axiom_index().extended(axiom)
             self._assumed[axiom] = ctx
         return self._assumed[axiom]

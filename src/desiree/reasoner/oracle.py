@@ -6,19 +6,26 @@ an element separating d1 from d2. A hit comes back as a replayable
 Witness. Bounded search never proves anything: the only trusted outcome
 is the counterexample, so callers treat "no hit" as inconclusive.
 
+Only the theory's ⊥-module for the pair is searched (select_axioms;
+Cuenca Grau, Horrocks, Kazakov & Sattler, "Modular reuse of ontologies",
+JAIR 2008), so every witness also replays against the whole theory.
+
 The universe has k abstract individuals plus a grid of value points
 built from every numeric boundary mentioned (boundaries, midpoints, one
-point past each end) and every literal (plus one fresh literal). k is
-the largest of 3, 2, 1 whose full enumeration fits the budget.
+point past each end) and every literal (plus one fresh literal). k
+ascends through 1, 2, 3 while the full enumeration fits the budget, and
+the first hit ends the search (small k first, as in Claessen &
+Sörensson's MACE-style model finding), so only an exhaustive scan at
+the largest k that fits comes back empty.
 
 Each ReasonerContext keeps one AxiomIndex of its theory, built at its
-first search: every axiom's symbol set, whether its left side is
-universal, and a map from symbol to axioms. Selecting the axioms of a
-search walks that map from the pair's symbols instead of the whole
-theory. The index also carries the search memo: the kernel's answer
-per compiled problem, keyed by the arguments of kernels.find_violation
-(the counts of the search and its tuple of programs), so searches that
-differ only in symbol names run the kernel once. A context made by
+first search: every axiom's symbol set and a map from each symbol to
+the axioms whose left side mentions it, so the fixpoint tests an axiom
+again only when such a symbol enters Σ. The index also carries the
+search memo: the kernel's answer per compiled problem (one per k),
+keyed by the arguments of kernels.find_violation (the counts of the
+search and its tuple of programs), so searches that differ only in
+symbol names run the kernel once. A context made by
 `ReasonerContext.assuming` (theory plus one assumed axiom) takes its
 parent's index extended by that axiom, so the two share the memo. All
 of it lives as long as the model's context, which the model keeps until
@@ -50,41 +57,48 @@ def symbols_of(d: ast.Description) -> frozenset[str]:
     return frozenset(atoms | slots | named | inds)
 
 
-def _nonempty_when_empty(d: ast.Description) -> bool:
-    """Whether d's extension may be nonempty with all its symbols empty.
+def _nonempty_when_empty(d: ast.Description, sigma=frozenset()) -> bool:
+    """Whether d's extension may be nonempty with every atom, slot and
+    named region outside sigma empty.
 
     Exact in the False direction: a False answer means the extension is
-    certainly empty once every atom, slot, named region of d is empty,
-    which is what lets an axiom be dropped from the search soundly.
+    certainly empty once those symbols are empty, which is what lets an
+    axiom be dropped from the search soundly. Monotone in sigma. d is
+    walked with an explicit stack, so a long chain does not recurse.
     """
-    if isinstance(d, ast.Atom):
-        return d.name == "Anything"
-    if isinstance(d, ast.Region):
-        return not isinstance(d.expr, ast.Named)
-    if isinstance(d, ast.Enum):
-        return True
-    if isinstance(d, ast.Slot):
-        if isinstance(d.modifier, ast.Only):
-            return True
-        lo, _hi = ast.modifier_bounds(d.modifier)
-        return lo == 0
-    if isinstance(d, ast.Proj):
-        return False
-    if isinstance(d, ast.And):
-        return _nonempty_when_empty(d.left) and _nonempty_when_empty(d.right)
-    if isinstance(d, ast.Or):
-        return _nonempty_when_empty(d.left) or _nonempty_when_empty(d.right)
-    if isinstance(d, ast.Diff):
-        return _nonempty_when_empty(d.left)
-    return False
+    vals: list[bool] = []
+    todo: list = [d]
+    while todo:
+        d = todo.pop()
+        if d is ast.And or d is ast.Or:
+            a, b = vals.pop(), vals.pop()
+            vals.append(a & b if d is ast.And else a | b)
+        elif isinstance(d, (ast.And, ast.Or)):
+            todo += [type(d), d.right, d.left]
+        elif isinstance(d, ast.Diff):
+            todo.append(d.left)
+        elif isinstance(d, ast.Slot) and (
+                isinstance(d.modifier, ast.Only)
+                or ast.modifier_bounds(d.modifier)[0] == 0):
+            vals.append(True)
+        elif isinstance(d, (ast.Slot, ast.Proj)) and d.slot in sigma:
+            todo.append(d.filler if isinstance(d, ast.Slot) else d.base)
+        elif isinstance(d, ast.Atom):
+            vals.append(d.name == "Anything" or d.name in sigma)
+        elif isinstance(d, ast.Region):
+            vals.append(not isinstance(d.expr, ast.Named)
+                        or d.expr.name in sigma)
+        else:  # enum members always exist; a slot outside sigma has no edge
+            vals.append(isinstance(d, ast.Enum))
+    return vals.pop()
 
 
 class AxiomIndex:
     """The axioms of one theory, indexed for select_axioms.
 
-    Holds each axiom's symbol set, which axioms are universal (their left
-    side may be nonempty with every symbol empty), and a map from each
-    symbol to the positions of the axioms that mention it. `memo` maps a
+    Holds each axiom's symbol set and `by_lhs`, a map from each symbol to
+    the positions of the axioms whose left side mentions it (key None:
+    those whose left side may be nonempty whatever Σ is). `memo` maps a
     compiled search problem to the kernel's answer, and `programs` holds
     one copy of each program in the memo's keys; an index made by
     `extended` shares both.
@@ -93,8 +107,7 @@ class AxiomIndex:
     def __init__(self, axioms: list[AxiomPair] | tuple[AxiomPair, ...] = ()):
         self.axioms: list[AxiomPair] = []
         self.syms: list[frozenset[str]] = []
-        self.universal: list[int] = []
-        self.by_symbol: dict[str, list[int]] = {}
+        self.by_lhs: dict[str | None, list[int]] = {}
         self.memo: dict = {}
         self.programs: dict = {}
         for ax in axioms:
@@ -104,27 +117,24 @@ class AxiomIndex:
         lhs, rhs = axiom
         i = len(self.axioms)
         self.axioms.append(axiom)
-        self.syms.append(symbols_of(lhs) | symbols_of(rhs))
-        if _nonempty_when_empty(lhs):
-            self.universal.append(i)
-        for s in self.syms[i]:
-            self.by_symbol.setdefault(s, []).append(i)
+        left = symbols_of(lhs)
+        self.syms.append(left | symbols_of(rhs))
+        for s in (None,) if _nonempty_when_empty(lhs) else left:
+            self.by_lhs.setdefault(s, []).append(i)
 
     def extended(self, axiom: AxiomPair) -> "AxiomIndex":
         """This index plus one axiom at the end, sharing the memo.
 
-        Only the position lists of the new axiom's symbols are copied;
-        the theory's axioms are not walked again.
+        Only the position lists the new axiom may join are copied; the
+        theory's axioms are not walked again.
         """
         new = AxiomIndex()
         new.axioms = list(self.axioms)
         new.syms = list(self.syms)
-        new.universal = list(self.universal)
-        new.by_symbol = dict(self.by_symbol)
+        new.by_lhs = dict(self.by_lhs)
         new.memo, new.programs = self.memo, self.programs
-        lhs, rhs = axiom
-        for s in symbols_of(lhs) | symbols_of(rhs):
-            new.by_symbol[s] = list(self.by_symbol.get(s, ()))
+        for s in symbols_of(axiom[0]) | {None}:
+            new.by_lhs[s] = list(self.by_lhs.get(s, ()))
         new._add(axiom)
         return new
 
@@ -134,30 +144,26 @@ def select_axioms(
     d2: ast.Description,
     axioms: list[AxiomPair] | AxiomIndex,
 ) -> list[AxiomPair]:
-    """The axioms that can matter for separating d1 from d2, in order.
+    """The ⊥-module of the theory for separating d1 from d2, in order.
 
-    An axiom is kept when it shares symbols (transitively) with the pair
-    under test, or when its left side can be nonempty even with all of
-    its symbols uninterpreted; every other axiom holds vacuously in the
-    searched interpretations. The kept set is found by a walk from the
-    pair's symbols and the universal axioms' symbols over the index; a
-    plain list is indexed first.
+    Σ starts as the pair's symbols. An axiom is kept when its left side
+    may be nonempty with every atom, slot and named region outside Σ
+    empty, and its symbols then join Σ, until nothing changes. Every
+    other axiom holds once the symbols outside Σ are empty. An axiom is
+    tested again only when a symbol of its left side enters Σ; the test
+    is monotone in Σ, so the fixpoint is exact. A list is indexed first.
     """
     index = axioms if isinstance(axioms, AxiomIndex) else AxiomIndex(axioms)
-    chosen = set(index.universal)
-    todo = list(symbols_of(d1) | symbols_of(d2))
-    for i in index.universal:
-        todo.extend(index.syms[i])
-    seen: set[str] = set()
+    sigma = set(symbols_of(d1) | symbols_of(d2))
+    todo: list[str | None] = [None, *sigma]
+    chosen: set[int] = set()
     while todo:
-        s = todo.pop()
-        if s in seen:
-            continue
-        seen.add(s)
-        for i in index.by_symbol.get(s, ()):
-            if i not in chosen:
+        for i in index.by_lhs.get(todo.pop(), ()):
+            if i not in chosen and _nonempty_when_empty(index.axioms[i][0],
+                                                        sigma):
                 chosen.add(i)
-                todo.extend(index.syms[i])
+                todo.extend(index.syms[i] - sigma)
+                sigma |= index.syms[i]
     return [index.axioms[i] for i in sorted(chosen)]
 
 
@@ -221,46 +227,45 @@ def _build_grid(nums: set[Fraction], lits: set[str],
     return tuple(points)
 
 
-def _pick_k(n_atoms, n_slots, n_named, n_inds, gamma):
-    for k in (3, 2, 1):
-        if k + gamma > 16:
-            continue
+def _sizes(n_atoms, n_slots, n_named, n_inds, gamma):
+    """(k, total) for each k of 1, 2, 3 whose enumeration fits the budget."""
+    sizes = []
+    for k in (1, 2, 3):
         bits = k * n_atoms + n_slots * k * (k + gamma) + gamma * n_named
-        if bits > 61:
-            continue
-        total = (1 << bits) * (k ** n_inds)
-        if total <= BUDGET:
-            return k, total
-    raise BoundsExceeded("enumeration budget exceeded")
+        if k + gamma > 16 or bits > 61 or (1 << bits) * k ** n_inds > BUDGET:
+            break
+        sizes.append((k, (1 << bits) * k ** n_inds))
+    if not sizes:
+        raise BoundsExceeded("enumeration budget exceeded")
+    return sizes
 
 
-def build_problem(
+def build_problems(
     d1: ast.Description,
     d2: ast.Description,
     axioms: list[AxiomPair],
 ):
-    """(table, total, programs): the symbol table, the number of
-    interpretations and the programs of d1, d2 and each axiom's sides."""
-    descs = [d1, d2]
-    for lhs, rhs in axioms:
-        descs.append(lhs)
-        descs.append(rhs)
+    """(table, total, programs) for each k that fits, smallest first: the
+    symbol table, the number of interpretations and the programs of d1,
+    d2 and each axiom's sides. The census and the grid are made once;
+    each k is compiled when the caller asks for it."""
+    descs = [d1, d2, *(side for axiom in axioms for side in axiom)]
     atoms, slots, named, inds, units, nums, lits = _census(descs)
     if len(units) > 1:
         raise BoundsExceeded(
             "mixed units: " + ", ".join(sorted(u or "(none)" for u in units)))
     grid = _build_grid(nums, lits, need_slack=bool(slots or named))
-    k, total = _pick_k(len(atoms), len(slots), len(named), len(inds),
-                       len(grid))
-    table = SymbolTable(
-        k=k,
-        grid=grid,
-        atoms={a: i for i, a in enumerate(sorted(atoms))},
-        slots={s: i for i, s in enumerate(sorted(slots))},
-        named={r: i for i, r in enumerate(sorted(named))},
-        inds={x: i for i, x in enumerate(sorted(inds))},
-    )
-    return table, total, assemble(descs, table)
+    for k, total in _sizes(len(atoms), len(slots), len(named), len(inds),
+                           len(grid)):
+        table = SymbolTable(
+            k=k,
+            grid=grid,
+            atoms={a: i for i, a in enumerate(sorted(atoms))},
+            slots={s: i for i, s in enumerate(sorted(slots))},
+            named={r: i for i, r in enumerate(sorted(named))},
+            inds={x: i for i, x in enumerate(sorted(inds))},
+        )
+        yield table, total, assemble(descs, table)
 
 
 def oracle_disprove(
@@ -270,9 +275,10 @@ def oracle_disprove(
 ) -> Witness | None:
     """Search for an axiom-respecting model where d1 is not within d2.
 
-    Returns a replayable Witness, or None when the bounded search is
-    exhausted without a hit. Raises BoundsExceeded when the problem does
-    not fit the budget, so the caller must fall back to Unknown.
+    Tries k = 1, 2, 3 in turn and returns the first hit as a replayable
+    Witness, or None when the scan at the largest k that fits the budget
+    is exhausted as well. Raises BoundsExceeded when no k fits, so the
+    caller must fall back to Unknown.
 
     Given an AxiomIndex, the kernel's answer is remembered in its memo,
     keyed by the compiled problem, and a later search that compiles to
@@ -281,17 +287,19 @@ def oracle_disprove(
     """
     index = axioms if isinstance(axioms, AxiomIndex) else AxiomIndex(axioms)
     selected = select_axioms(d1, d2, index)
-    table, total, programs = build_problem(d1, d2, selected)
-    key = (total, table.k, table.gamma, len(table.atoms), len(table.slots),
-           len(table.named), len(table.inds), programs)
-    idx = index.memo.get(key)
-    if idx is None:
-        idx = kernels.find_violation(*key)
-        # Few programs are distinct (51 in the 4,504 of an entail-search
-        # pass); a copy per key had the garbage collector run 40% more.
-        programs = tuple(index.programs.setdefault(p, p) for p in programs)
-        index.memo[key[:-1] + (programs,)] = idx
-    if idx < 0:
+    for table, total, programs in build_problems(d1, d2, selected):
+        key = (total, table.k, table.gamma, len(table.atoms),
+               len(table.slots), len(table.named), len(table.inds), programs)
+        idx = index.memo.get(key)
+        if idx is None:
+            idx = kernels.find_violation(*key)
+            # Few programs are distinct (51 in the 4,504 of an entail-search
+            # pass); a copy per key had the garbage collector run 40% more.
+            programs = tuple(index.programs.setdefault(p, p) for p in programs)
+            index.memo[key[:-1] + (programs,)] = idx
+        if idx >= 0:
+            break
+    else:
         return None
     interp = kernels.decode_interpretation(idx, table)
     viol = violates_subsumption(interp, d1, d2)

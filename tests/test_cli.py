@@ -96,6 +96,9 @@ DEEP_INPUTS = {
     "64 nested slots": ("f F1 = " + nested_slots(64), 0),
     "600-term conjunction": (
         "f F1 = " + " and ".join(f"A{i}" for i in range(600)), 0),
+    "3000-term chain on an axiom's left side": (
+        "axiom " + " & ".join(f"A{i}" for i in range(3000)) + " :< B.\n"
+        "goal G1 = C.\ngoal G2 = D", 0),
 }
 
 
@@ -114,6 +117,16 @@ def test_deep_input_exit_status(capsys, tmp_path, name):
     col = len("f F1 = ") + 64 * (4 if "slots" in name else 1) + 1
     assert out.startswith(
         f"error: E-PARSE-003 1:{col} nested more than 64 levels deep\n")
+
+
+def test_long_axiom_chain_is_searched(capsys, tmp_path):
+    # the search's axiom index walks each left side without recursion
+    text, _status = DEEP_INPUTS["3000-term chain on an axiom's left side"]
+    f = tmp_path / "chain.dsr"
+    f.write_text(text + ".\n")
+    for goal, verdict in (("G2", "Disproved"), ("G1", "Proved")):
+        code, out, err = run(capsys, "entail", str(f), "G1", goal)
+        assert (code, out.splitlines()[0], err) == (0, verdict, "")
 
 
 def nested_conjunction(depth: int) -> str:

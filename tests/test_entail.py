@@ -331,14 +331,32 @@ class TestAssuming:
         assert ctx2.axiom_index().memo is ctx.axiom_index().memo
         assert ctx2.axiom_index().axioms == ctx.axiom_pairs() + [ax]
 
+    def test_tables_extend_the_parents(self):
+        ctx = ctx_with("Advanced_search :< Search", "Search :< Function",
+                       disjoints=[("A", "B")])
+        ax = (D("Search"), D("Fast_function"))
+        child = ctx.assuming(ax)
+        fresh = ReasonerContext(ctx.axioms + [ax], ctx.disjoints)
+        assert child.atom_axioms == fresh.atom_axioms
+        assert child.region_edges == fresh.region_edges
+        assert child.disjoint_pairs == fresh.disjoint_pairs
+        # the parent is left as it was, and shares every list the
+        # assumed axiom does not extend
+        assert ctx.atom_axioms == {"Advanced_search": [D("Search")],
+                                   "Search": [D("Function")]}
+        assert ctx.region_edges == [("Advanced_search", "Search"),
+                                    ("Search", "Function")]
+        assert (child.atom_axioms["Advanced_search"]
+                is ctx.atom_axioms["Advanced_search"])
+
     def test_one_context_per_distinct_assumption(self, monkeypatch):
         ctx = ctx_with("Advanced_search :< Search")
         built = []
         post_init = ReasonerContext.__post_init__
 
-        def counted(self):
+        def counted(self, *args):
             built.append(len(self.axioms))
-            post_init(self)
+            post_init(self, *args)
 
         monkeypatch.setattr(ReasonerContext, "__post_init__", counted)
         firsts = [sb("Search :< <actor: ONLY Registered_user>"),

@@ -271,9 +271,9 @@ def count_contexts(monkeypatch):
     built = []
     post_init = ReasonerContext.__post_init__
 
-    def counted(self):
+    def counted(self, *args):
         built.append(len(self.axioms))
-        post_init(self)
+        post_init(self, *args)
 
     monkeypatch.setattr(ReasonerContext, "__post_init__", counted)
     return built

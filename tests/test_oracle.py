@@ -1,9 +1,10 @@
 """Counterexample-search checks: kernels vs the reference evaluator."""
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from desiree.reasoner import kernels
@@ -13,7 +14,7 @@ from desiree.reasoner.oracle import (
     BUDGET,
     BoundsExceeded,
     _nonempty_when_empty,
-    build_problem,
+    build_problems,
     oracle_disprove,
     select_axioms,
     symbols_of,
@@ -29,9 +30,14 @@ from desiree.syntax.parser import parse_description as pd
 from gen_strategies import descriptions
 
 
-def scalar_first(d1, d2, axioms, limit=10000):
-    """First violating index found by the reference evaluator."""
-    table, total, _programs = build_problem(d1, d2, axioms)
+def problems(d1, d2, axioms):
+    """{k: (table, total, programs)} for every k that fits the budget."""
+    return {p[0].k: p for p in build_problems(d1, d2, axioms)}
+
+
+def scalar_first(d1, d2, axioms, k, limit=10000):
+    """First violating index at k found by the reference evaluator."""
+    table, total, _programs = problems(d1, d2, axioms)[k]
     for idx in range(min(total, limit)):
         interp = kernels.decode_interpretation(idx, table)
         if not satisfies_axioms(interp, axioms):
@@ -41,16 +47,12 @@ def scalar_first(d1, d2, axioms, limit=10000):
     return -1
 
 
-def kernel_on(d1, d2, axioms):
-    """The kernel's index on the problem of exactly these axioms."""
-    table, total, programs = build_problem(d1, d2, axioms)
+def kernel_on(d1, d2, axioms, k):
+    """The kernel's index at k on the problem of exactly these axioms."""
+    table, total, programs = problems(d1, d2, axioms)[k]
     return kernels.find_violation(
         total, table.k, table.gamma, len(table.atoms), len(table.slots),
         len(table.named), len(table.inds), programs)
-
-
-def kernel_first(d1, d2, axioms):
-    return kernel_on(d1, d2, select_axioms(d1, d2, axioms))
 
 
 def test_no_witness_for_obvious_truths():
@@ -137,19 +139,19 @@ def test_reversed_axiom_chain_selected_in_list_order():
 
 
 def select_reference(d1, d2, axioms):
-    """The fixpoint that select_axioms must reach: keep an axiom once it
-    is universal or shares a symbol with the pair or a kept axiom."""
-    active = set(symbols_of(d1) | symbols_of(d2))
+    """The ⊥-module select_axioms must reach, by plain rescans of the
+    list: keep an axiom once its left side may be nonempty with every
+    symbol outside Σ empty, Σ being the symbols of the pair and of the
+    kept axioms."""
+    sigma = set(symbols_of(d1) | symbols_of(d2))
     chosen = [False] * len(axioms)
     changed = True
     while changed:
         changed = False
         for i, (lhs, rhs) in enumerate(axioms):
-            syms = symbols_of(lhs) | symbols_of(rhs)
-            if not chosen[i] and (_nonempty_when_empty(lhs)
-                                  or syms & active):
+            if not chosen[i] and _nonempty_when_empty(lhs, sigma):
                 chosen[i] = True
-                active |= syms
+                sigma |= symbols_of(lhs) | symbols_of(rhs)
                 changed = True
     return [ax for i, ax in enumerate(axioms) if chosen[i]]
 
@@ -160,11 +162,16 @@ UNIVERSAL_SIDES = [ast.ANYTHING, pd("<s: <=1 A>"), pd("Anything - B"),
 
 axiom_sides = st.recursive(
     st.one_of(st.sampled_from("ABCDEFG").map(ast.Atom),
-              st.sampled_from(["a", "b"]).map(lambda x: ast.Enum((x,)))),
+              st.sampled_from(["a", "b"]).map(lambda x: ast.Enum((x,))),
+              st.just(ast.Region(ast.Named("Fast")))),
     lambda sub: st.one_of(
         st.builds(ast.And, sub, sub),
+        st.builds(ast.Or, sub, sub),
+        st.builds(ast.Diff, sub, sub),
         st.builds(ast.Slot, st.sampled_from(["s", "t"]),
-                  st.just(ast.ExactlyOne()), sub)),
+                  st.sampled_from([ast.ExactlyOne(), ast.Some(), ast.Only(),
+                                   ast.AtMost(1), ast.AtLeast(2)]), sub),
+        st.builds(ast.Proj, sub, st.sampled_from(["s", "t"]))),
     max_leaves=3)
 axioms_of = st.tuples(st.one_of(axiom_sides, st.sampled_from(UNIVERSAL_SIDES)),
                       axiom_sides)
@@ -203,6 +210,37 @@ def test_indexed_selection_matches_the_fixpoint(d1, d2, axioms, more):
             d1, d2, ctx.axiom_pairs() + [assumed])
     assert select_axioms(d1, d2, base) == select_reference(
         d1, d2, ctx.axiom_pairs())
+
+
+def individuals_of(axioms):
+    return {x for axiom in axioms for side in axiom for node in ast.walk(side)
+            if isinstance(node, ast.Enum) for x in node.members}
+
+
+@settings(deadline=None)
+@given(pair_sides, pair_sides, axiom_theories())
+@example(pd("A"), pd("B"), [(pd("{c} X"), pd("Y"))])
+def test_witness_satisfies_the_whole_theory(d1, d2, axioms):
+    """A witness over the selected axioms separates the pair and is a
+    model of every axiom once the symbols it leaves out are filled in:
+    an atom, slot or named region it leaves out is empty (as eval_desc
+    reads it), and an individual it leaves out sits at element 0. The
+    empty symbols empty the left side of every dropped axiom, wherever
+    those individuals sit."""
+    try:
+        w = oracle_disprove(d1, d2, axioms)
+    except BoundsExceeded:
+        return
+    if w is None:
+        return
+    interp = w.interp
+    missing = individuals_of(axioms) - set(interp.individuals)
+    if missing:
+        event("individual only in dropped axioms")
+        interp = replace(interp, individuals={**interp.individuals,
+                                              **dict.fromkeys(missing, 0)})
+    assert w.x in violates_subsumption(interp, d1, d2)
+    assert satisfies_axioms(interp, axioms)
 
 
 def test_renamed_pair_reuses_the_search(monkeypatch):
@@ -278,6 +316,28 @@ def test_mixed_units_are_skipped():
                         ast.Slot("has_value_in", ast.ExactlyOne(), pct))
 
 
+def test_smallest_k_first(monkeypatch):
+    ks = []
+    search = kernels.find_violation
+
+    def logged(*args):
+        ks.append(args[1])
+        return search(*args)
+
+    monkeypatch.setattr(kernels, "find_violation", logged)
+    # k = 3 fits, but one element already separates A from B
+    assert oracle_disprove(pd("A"), pd("B")).interp.k == 1
+    assert ks == [1]
+    # two A-fillers need two individuals: k = 1 is scanned in vain first
+    ks.clear()
+    w = oracle_disprove(pd("<s: =2 A>"), pd("<s: =1 A>"))
+    assert (ks, w.interp.k) == ([1, 2], 2)
+    # no witness: every k that fits is scanned
+    ks.clear()
+    assert oracle_disprove(pd("A B"), pd("A")) is None
+    assert ks == [1, 2, 3]
+
+
 def test_budget_overflow_raises():
     text = "A " + " ".join(f"<s{i}: A>" for i in range(22))
     with pytest.raises(BoundsExceeded):
@@ -298,13 +358,13 @@ SWEEP_CASES = [
 @pytest.mark.parametrize("case", range(len(SWEEP_CASES)))
 def test_kernel_matches_reference_sweep(case):
     d1, d2, axioms = SWEEP_CASES[case]
-    got = kernel_first(d1, d2, axioms)
-    want = scalar_first(d1, d2, axioms)
-    assert got == want
+    axioms = select_axioms(d1, d2, axioms)
+    for k in problems(d1, d2, axioms):
+        assert kernel_on(d1, d2, axioms, k) == scalar_first(d1, d2, axioms, k)
 
 
-def logged_kernel(monkeypatch, d1, d2, axioms):
-    """The kernel's index on the problem of exactly these axioms; per
+def logged_kernel(monkeypatch, d1, d2, axioms, k):
+    """The kernel's index at k on the problem of exactly these axioms; per
     visited chunk, the (program, came out as an array) of every program
     run; and what each program reads (kernels.LO, kernels.HI or both).
     Program i < len(axioms) is axiom i, program len(axioms) the pair's.
@@ -338,7 +398,7 @@ def logged_kernel(monkeypatch, d1, d2, axioms):
     monkeypatch.setattr(kernels._Split, "fields", logged_fields)
     monkeypatch.setattr(kernels, "_specialise", logged_specialise)
     monkeypatch.setattr(kernels, "_run", logged_run)
-    return kernel_on(d1, d2, axioms), visits, reads
+    return kernel_on(d1, d2, axioms, k), visits, reads
 
 
 EIGHT = "{a, b, c, d, e, f, g, h}"
@@ -361,9 +421,12 @@ def test_chunked_kernel_matches_reference(monkeypatch, name):
     d1, d2 = pd(d1), pd(d2)
     axioms = [(pd(lhs), pd(rhs)) for lhs, rhs in axioms]
     assert select_axioms(d1, d2, axioms) == axioms
-    got, visits, _reads = logged_kernel(monkeypatch, d1, d2, axioms)
-    assert got == scalar_first(d1, d2, axioms, limit=BUDGET)
-    table, total, *_ = build_problem(d1, d2, axioms)
+    # every k against the reference; the case's shape at the largest k
+    for k in problems(d1, d2, axioms):
+        with pytest.MonkeyPatch.context() as mp:
+            got, visits, _reads = logged_kernel(mp, d1, d2, axioms, k)
+        assert got == scalar_first(d1, d2, axioms, k, limit=BUDGET)
+    table, total, _programs = problems(d1, d2, axioms)[k]
     chunks = kernels._Split(total, table.k, table.gamma, len(table.atoms),
                             len(table.slots), len(table.named),
                             len(table.inds))
@@ -452,9 +515,9 @@ def kernel_problems(draw):
     return d1, d2, select_axioms(d1, d2, axioms)
 
 
-def kernel_cases(d1, d2, axioms, reads, visits, got):
-    """The specialisation cases one search meets."""
-    table, total, programs = build_problem(d1, d2, axioms)
+def kernel_cases(d1, d2, axioms, k, reads, visits, got):
+    """The specialisation cases the search at k meets."""
+    table, total, programs = problems(d1, d2, axioms)[k]
     split = kernels._Split(total, table.k, table.gamma, len(table.atoms),
                            len(table.slots), len(table.named),
                            len(table.inds))
@@ -488,13 +551,15 @@ KERNEL_EXAMPLES = [
 
 
 def specialised_search(d1, d2, axioms, cap):
-    """The cases the kernel met at lane cap `cap`, once its index has
-    matched the reference's."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "MAX_LANES", cap)
-        got, visits, reads = logged_kernel(mp, d1, d2, axioms)
-        cases = kernel_cases(d1, d2, axioms, reads, visits, got)
-    assert got == scalar_first(d1, d2, axioms, limit=BUDGET)
+    """The cases the kernel met at lane cap `cap` over every k that
+    fits, once its index has matched the reference's at each."""
+    cases = set()
+    for k in problems(d1, d2, axioms):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "MAX_LANES", cap)
+            got, visits, reads = logged_kernel(mp, d1, d2, axioms, k)
+            cases |= kernel_cases(d1, d2, axioms, k, reads, visits, got)
+        assert got == scalar_first(d1, d2, axioms, k, limit=BUDGET)
     return cases
 
 
