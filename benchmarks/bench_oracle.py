@@ -3,15 +3,18 @@
 
 Two workload groups show where the kernel's time goes. Exhaustive
 pairs hold, so the counterexample search scans every bounded
-interpretation; the kernel pays its per-chunk Python work once per
-chunk of up to kernels.MAX_LANES indices. Early-witness pairs fail
-quickly; the kernel still pays for specialising the search and for the
-rest of the witness's chunk.
+interpretation; the kernel pays its Python work once per block, and an
+exhaustive scan takes one block per bit of the space. Early-witness
+pairs fail quickly; the kernel pays for the first block and for every
+block up to the witness's.
 
 Each group reports interpretations per second: the indices the kernel
 visits at each k it tries, smallest first (through the first hit, or all
 of them), over the whole search time, axiom selection and compilation
-included.
+included. Then single kernel calls at one k, best of REPS runs: the
+largest exhaustive scans and a witness at index 4096 of 2^21.
+
+    PYTHONPATH=src python3 benchmarks/bench_oracle.py
 """
 
 import time
@@ -45,6 +48,16 @@ EXHAUSTIVE = [
 EARLY_WITNESS = [
     ("Alpha", "Beta <s: Gamma>", []),
     ("A <s: B>", "A <s: B> <t: C>", []),
+]
+
+# Single kernel calls: (label, d1, d2, k).
+_ATOMS = [f"A{i:02d}" for i in range(21)]
+KERNEL_CALLS = [
+    ("exhaustive, k = 2", EXHAUSTIVE[0][0], EXHAUSTIVE[0][1], 2),
+    ("exhaustive, k = 3", "A B C D E F G", "A", 3),
+    # only A12 set: bit 12 of the index
+    ("witness at 4096", "A12 - (" + " | ".join(_ATOMS[:12]) + ")",
+     " | ".join(_ATOMS[13:]), 1),
 ]
 
 REPS = 3
@@ -87,6 +100,22 @@ def time_group(pairs):
     return (time.perf_counter() - start) / REPS
 
 
+def time_call(d1, d2, k):
+    """(index, space, best seconds) of one kernel call at k."""
+    for table, total, programs in build_problems(D(d1), D(d2), []):
+        if table.k == k:
+            args = (total, table.k, table.gamma, len(table.atoms),
+                    len(table.slots), len(table.named), len(table.inds),
+                    programs)
+    best = None
+    for _ in range(REPS):
+        start = time.perf_counter()
+        idx = kernels.find_violation(*args)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return idx, args[0], best
+
+
 def main():
     groups = [("exhaustive", parse_pairs(EXHAUSTIVE)),
               ("early witness", parse_pairs(EARLY_WITNESS))]
@@ -96,6 +125,10 @@ def main():
         n = scanned(pairs)
         print(f"{label:14s} ({len(pairs)} searches, {n:>9,} interps)  "
               f"{elapsed * 1000:8.2f} ms {n / elapsed:12,.0f} interps/s")
+    for label, d1, d2, k in KERNEL_CALLS:
+        idx, total, elapsed = time_call(d1, d2, k)
+        print(f"{label:18s} index {idx:>5} of {total:>9,}  "
+              f"{elapsed * 1000:8.3f} ms")
 
 
 if __name__ == "__main__":

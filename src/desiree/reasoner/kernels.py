@@ -21,37 +21,38 @@ Index layout, least significant first: individual assignments (radix k),
 then the bit fields in field order. field_bases numbers the fields:
 named region j (gamma bits, over the grid), slot s's row x (k + gamma
 bits, the targets of individual x), atom a (k bits), then individual i,
-whose value is the bit of its element. _Split reads the index of a
-chunk of lanes, decode_interpretation one index as an Interpretation.
+whose value is the bit of its element. decode_interpretation reads one
+index as an Interpretation.
 
-The search scans chunks of consecutive indices, each index read as
-hi * lanes + lo. The low part is a whole number of low digits: radix-k
-individual digits first, then stream bits once every individual digit
-is in, at most MAX_LANES indices in all. Every field then reads only lo
-(invariant: the same lane array in every chunk), only hi (chunk-constant:
-one value per chunk) or, for at most one bit field, both (it straddles
-the split).
+The kernel is bit-sliced (Biham, "A fast new DES implementation in
+software", FSE 1997): it evaluates a block of consecutive indices at
+once, one lane per index, with lane i the block's first index plus i.
+A mask over a block is a list of u = k + gamma Python ints, its planes:
+bit i of plane e is set when element e is in the mask at lane i. AND,
+OR and DIFF work plane by plane; the slot operations combine the planes
+of the slot's rows, and SLOT_COUNT counts with threshold planes, one per
+count (plane t: at least t targets so far). The lanes that break an
+axiom are the OR over the planes of its left side minus its right; the
+block's hits are the lanes where the pair separates and no axiom
+breaks, and the lowest set bit is the first hit.
 
-Each search is specialised once, before the chunk loop. Each program is
-walked once, and every maximal sub-expression that reads no
-chunk-constant field is computed then and replaced by its value. The
-axioms that read nothing else are ANDed into one base lane mask, and an
-empty base ends the search without visiting a chunk. AND, OR and DIFF
-with 0 or the full mask as an operand are folded away, and an axiom
-whose left side folds to 0 is dropped. What remains runs per chunk:
-chunk-constant values are plain Python ints, and the lane arrays use
-the narrowest unsigned dtype that holds k + gamma bits, so an axiom
-over chunk-constant fields costs a few integer operations and rejects
-the whole chunk when it fails. Every mask is a subset of the full mask,
-so a complement is `y ^ full` and no negative int meets an unsigned
-array. Chunks are visited in order and argmax takes the first hit, so
-the smallest violating index is returned.
+Every field's planes are periodic bit patterns of the lane number: a
+digit of an individual, or one bit of the bit-field value. Blocks hold
+every individual assignment of a range of bit-field values: first
+[0, 2^FIRST_BITS), then [2^m, 2^(m+1)) for each m after that. Inside
+block m, bit m of the value is one, the bits above it are zero and the
+bits below it run through the same patterns as the lanes of [0, 2^m),
+so each block's patterns are the previous ones doubled (p | p << lanes),
+never divided out of big ints. Blocks are visited in index order, so
+the first hit is the smallest index; a witness at index i costs at most
+about 2i lanes beyond the first block, and an exhaustive scan takes one
+block per bit of the space, each block as many big-int operations as
+the programs have instructions.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from desiree.reasoner.interp import Interpretation
 
@@ -68,20 +69,26 @@ OP_SLOT_COUNT = 6
 OP_SLOT_ONLY = 7
 OP_PROJ = 8
 
-# Indices per chunk. An early witness wastes less of a small chunk and a
-# chunk's arrays stay in cache; much below 2^12 the per-chunk work in
-# Python dominates instead. Replaying the searches of perfbench's
-# corpus-query with caps from 2^11 to 2^16, 2^13 was fastest.
-MAX_LANES = 1 << 13
+_DIFF = ((OP_DIFF, 0, 0, 0),)
 
-POPCNT = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+# The first block covers the bit-field values [0, 2^FIRST_BITS). Most
+# searches are no larger and take one block; a larger one takes one more
+# block per bit. Replaying the searches of perfbench's corpus-query and
+# entail-search with 2^4 to 2^13 values, 2^12 was fastest.
+FIRST_BITS = 12
 
-# What a value reads: lo fields, hi fields, both (mixed) or neither.
-LO, HI = 1, 2
+# The patterns of a first block are cached when they hold at most
+# CACHED_BITS bits in all. The cache keeps at most 128 first blocks, so
+# it stays below 4 MB.
+CACHED_BITS = 1 << 18
 
 
 def backend_name() -> str:
-    """The kernel's name, for environment stamps."""
+    """The kernel's name, for environment stamps.
+
+    perfbench compares only runs whose stamps agree, so the name has
+    stayed that of the vectorised kernel this one replaced.
+    """
     return "numpy"
 
 
@@ -133,215 +140,125 @@ def decode_interpretation(idx: int, table: SymbolTable) -> Interpretation:
     return Interpretation(k, table.grid, atoms, slots, named, individuals)
 
 
-class _Split:
-    """The split of every index into hi * lanes + lo, lo < lanes.
+def _periodic(step, radix, digit, lanes):
+    """The lanes where digit (i // step) % radix of lane i is `digit`, as
+    an int of `lanes` bits, built by doubling one period."""
+    p = ((1 << step) - 1) << (digit * step)
+    width = step * radix
+    while width < lanes:
+        p |= p << width
+        width *= 2
+    return p & ((1 << lanes) - 1)
 
-    Fields are numbered as in field_bases. `reads[f]` says whether field
-    f depends on lo, hi or both; `env0` holds the lane arrays of the
-    fields that depend on lo alone, decoded once per search, and
-    fields(hi) completes it for one chunk.
+
+@lru_cache(maxsize=128)
+def _prefix(k, n_inds, m):
+    """(lanes, bits, digits) of the bit-field values [0, 2^m): bits[b]
+    is the pattern of bit b of the value, digits[i * k + e] that of
+    individual i at element e."""
+    ways = k ** n_inds
+    lanes = ways << m
+    bits = tuple(_periodic(ways << b, 2, 1, lanes) for b in range(m))
+    digits = tuple(_periodic(k ** i, k, e, lanes)
+                   for i in range(n_inds) for e in range(k))
+    return lanes, bits, digits
+
+
+def _blocks(k, n_inds, n_bits):
+    """(first index, lanes, bits, digits) of each block, in index order.
+
+    bits[b] is the pattern of bit b of the bit-field value over the
+    block's lanes, for every b < n_bits; digits[i * k + e] that of
+    individual i at element e.
     """
-
-    def __init__(self, total, k, gamma, n_atoms, n_slots, n_named, n_inds):
-        self.k, self.n_inds = k, n_inds
-        self.full = (1 << (k + gamma)) - 1
-        self.dtype = np.uint8 if k + gamma <= 8 else np.uint16
-        self.ind0 = field_bases(k, n_named, n_slots, n_atoms)[2]
-        # The low part: whole individual digits while they fit, then,
-        # once every individual digit is in, stream bits while they fit.
-        # total is k ** n_inds times a power of two, so lanes divides it.
-        self.lo_inds, self.lanes, lo_bits = 0, 1, 0
-        while self.lo_inds < n_inds and self.lanes * k <= MAX_LANES:
-            self.lo_inds += 1
-            self.lanes *= k
-        while (self.lo_inds == n_inds
-               and 2 * self.lanes <= min(total, MAX_LANES)):
-            self.lanes *= 2
-            lo_bits += 1
-        rest = np.arange(self.lanes, dtype=np.uint16)  # lanes <= 2^16
-        self.env0, self.reads = [], []
-        lo_assign = []
-        for _ in range(self.lo_inds):
-            lo_assign.append((1 << rest % k).astype(self.dtype))
-            rest = rest // k
-        self.straddle = None  # (field, low part, shift of hi, hi mask)
-        self.hi_fields = []   # (field, offset above the split, mask, shift)
-        bit_fields = _bit_fields(k, gamma, n_named, n_slots, n_atoms)
-        for f, (off, width, shift) in enumerate(bit_fields):
-            mask = (1 << width) - 1
-            value = None
-            if off + width <= lo_bits:
-                value = (((rest >> off) & mask) << shift).astype(self.dtype)
-                self.reads.append(LO)
-            elif off >= lo_bits:
-                self.hi_fields.append((f, off - lo_bits, mask, shift))
-                self.reads.append(HI)
-            else:
-                part = ((rest >> off) << shift).astype(self.dtype)
-                self.straddle = (f, part, lo_bits - off + shift,
-                                 (1 << (off + width - lo_bits)) - 1)
-                self.reads.append(LO | HI)
-            self.env0.append(value)
-        self.env0 += lo_assign + [None] * (n_inds - self.lo_inds)
-        self.reads += [LO] * self.lo_inds + [HI] * (n_inds - self.lo_inds)
-
-    def fields(self, hi):
-        """The value of every field in chunk hi."""
-        env = list(self.env0)
-        for i in range(self.ind0 + self.lo_inds, self.ind0 + self.n_inds):
-            env[i] = 1 << hi % self.k
-            hi //= self.k
-        if self.straddle is not None:
-            f, part, shift, mask = self.straddle
-            env[f] = part | (hi & mask) << shift
-        for f, off, mask, shift in self.hi_fields:
-            env[f] = ((hi >> off) & mask) << shift
-        return env
+    m = min(FIRST_BITS, n_bits)
+    size = (k ** n_inds << m) * (m + k * n_inds)
+    prefix = _prefix if size <= CACHED_BITS else _prefix.__wrapped__
+    lanes, bits, digits = prefix(k, n_inds, m)
+    yield 0, lanes, [*bits, *[0] * (n_bits - m)], digits
+    while m < n_bits:
+        # Block m holds the values [2^m, 2^(m+1)): the lanes of [0, 2^m)
+        # with bit m set. Its first index is the prefix's lane count.
+        ones = (1 << lanes) - 1
+        yield lanes, lanes, [*bits, ones, *[0] * (n_bits - m - 1)], digits
+        m += 1
+        if m < n_bits:
+            bits = [p | p << lanes for p in bits] + [ones << lanes]
+            digits = [p | p << lanes for p in digits]
+            lanes *= 2
 
 
-def _run(code, env, k, full, dtype):
-    """Run one specialised program over a field environment.
+def _run(code, env, k, u, ones):
+    """The planes of one program over one block.
 
-    Values are lane arrays or plain ints. PUSH_FIXED pushes its value,
-    PUSH_ATOM field a, PUSH_ENUM the union of the fields in a; the slot
-    operations read the k rows from field a on.
+    env holds the planes of every field. PUSH_FIXED sets the planes of
+    its members to ones, PUSH_ENUM ORs its fields' planes; the slot
+    operations read the k rows from field a on. Individual x is in a
+    slot operation's result on plane x; a grid point has no targets, so
+    it is in ONLY always and in a count exactly when the minimum is 0.
     """
     stack = []
     for op, a, b, c in code:
         if op == OP_PUSH_ATOM:
             stack.append(env[a])
-        elif op == OP_PUSH_FIXED:
-            stack.append(a)
         elif op == OP_AND:
             y = stack.pop()
-            stack.append(stack.pop() & y)
+            stack.append([p & q for p, q in zip(stack.pop(), y)])
         elif op == OP_OR:
             y = stack.pop()
-            stack.append(stack.pop() | y)
+            stack.append([p | q for p, q in zip(stack.pop(), y)])
         elif op == OP_DIFF:
             y = stack.pop()
-            stack.append(stack.pop() & (y ^ full))
+            stack.append([p & ~q for p, q in zip(stack.pop(), y)])
+        elif op == OP_PUSH_FIXED:
+            stack.append([ones if a >> e & 1 else 0 for e in range(u)])
         elif op == OP_PUSH_ENUM:
-            res = 0
-            for f in a:
-                res = res | env[f]
-            stack.append(res)
+            planes = env[a[0]]
+            for f in a[1:]:
+                planes = [p | q for p, q in zip(planes, env[f])]
+            stack.append(planes)
         elif op == OP_SLOT_COUNT:
             filler = stack.pop()
-            res = full ^ ((1 << k) - 1) if b == 0 else 0
+            # at[t]: the lanes with at least t targets in the filler; a
+            # count beyond u cannot happen, so thresholds stop at u + 1.
+            hi = c + 1 if 0 <= c < u else None
+            top = min(max(b, hi or 0), u + 1)
+            res = []
             for x in range(k):
-                cnt = POPCNT[env[a + x] & filler]
-                ok = cnt >= b
-                if c >= 0:
-                    ok = ok & (cnt <= c)
-                res = res | ok.astype(dtype) << x
-            stack.append(res)
+                at = [ones] + [0] * top
+                for p, q in zip(env[a + x], filler):
+                    hit = p & q
+                    if hit:
+                        for t in range(top, 0, -1):
+                            at[t] |= at[t - 1] & hit
+                ok = at[b] if b <= top else 0
+                res.append(ok & ~at[hi] if hi is not None else ok)
+            stack.append(res + [0 if b else ones] * (u - k))
         elif op == OP_SLOT_ONLY:
-            outside = stack.pop() ^ full
-            res = full ^ ((1 << k) - 1)
+            filler = stack.pop()
+            res = []
             for x in range(k):
-                ok = np.equal(env[a + x] & outside, 0)
-                res = res | ok.astype(dtype) << x
-            stack.append(res)
+                bad = 0
+                for p, q in zip(env[a + x], filler):
+                    bad |= p & ~q
+                res.append(ones ^ bad)
+            stack.append(res + [ones] * (u - k))
         else:  # OP_PROJ
             base = stack.pop()
-            res = 0
+            res = [0] * u
             for x in range(k):
-                res = res | ((base >> x) & 1) * env[a + x]
+                if base[x]:
+                    res = [r | base[x] & p for r, p in zip(res, env[a + x])]
             stack.append(res)
     return stack[0]
 
 
-def _specialise(instrs, split):
-    """One program, ready for the chunk loop: (code, reads).
-
-    Every maximal sub-expression that reads no hi field is computed here
-    and replaced by one PUSH_FIXED of its value, so a program that reads
-    no hi field becomes a single PUSH_FIXED. AND, OR and DIFF are folded
-    where an operand is 0 or the full mask.
-    """
-    k, full = split.k, split.full
-    code = []
-    operands = []  # per stack entry: (its first instruction, what it reads)
-
-    def fold(start, stop):
-        value = _run(code[start:stop], split.env0, k, full, split.dtype)
-        code[start:stop] = [(OP_PUSH_FIXED, value, 0, 0)]
-
-    def as_int(start, stop):
-        op, value = code[start][:2]
-        if stop - start == 1 and op == OP_PUSH_FIXED and type(value) is int:
-            return value
-        return None
-
-    for instr in instrs:
-        op, a, _b, _c = instr
-        if op in (OP_AND, OP_OR, OP_DIFF):
-            (s1, r1), (s2, r2) = operands[-2:]
-            del operands[-2:]
-            if (r1 | r2) & HI:
-                if not r2 & HI:
-                    fold(s2, len(code))
-                if not r1 & HI:
-                    fold(s1, s2)
-                    s2 = s1 + 1
-                short = _shortcut(op, as_int(s1, s2), as_int(s2, len(code)),
-                                  full)
-                if short == "x":
-                    del code[s2:]
-                    operands.append((s1, r1))
-                    continue
-                if short == "y":
-                    del code[s1:s2]
-                    operands.append((s1, r2))
-                    continue
-                if short is not None:
-                    code[s1:] = [(OP_PUSH_FIXED, short, 0, 0)]
-                    operands.append((s1, 0))
-                    continue
-            operands.append((s1, r1 | r2))
-            code.append(instr)
-            continue
-        if op == OP_PUSH_ATOM:
-            fields = (a,)
-        elif op == OP_PUSH_ENUM:
-            fields = a
-        elif op == OP_PUSH_FIXED:
-            fields = ()
-        else:  # a slot operation on the k rows from field a
-            fields = range(a, a + k)
-        start, r = len(code), 0
-        for f in fields:
-            r |= split.reads[f]
-        if op in (OP_SLOT_COUNT, OP_SLOT_ONLY, OP_PROJ):
-            start, r1 = operands.pop()
-            if r & HI and not r1 & HI:
-                fold(start, len(code))
-            r |= r1
-        operands.append((start, r))
-        code.append(instr)
-    (_, r), = operands
-    if not r & HI:
-        fold(0, len(code))
-    return code, r
-
-
-def _shortcut(op, x, y, full):
-    """x op y when one operand decides it: a value, or "x" or "y" for the
-    operand it equals; None otherwise. x and y are ints, or None when
-    not known before the chunk loop."""
-    if op == OP_DIFF:
-        if x == 0 or y == full:
-            return 0
-        return "x" if y == 0 else None
-    absorbing, unit = (0, full) if op == OP_AND else (full, 0)
-    if absorbing in (x, y):
-        return absorbing
-    if x == unit:
-        return "y"
-    if y == unit:
-        return "x"
-    return None
+def _union(planes):
+    """The lanes where a mask is nonempty: the OR of its planes."""
+    out = 0
+    for p in planes:
+        out |= p
+    return out
 
 
 def find_violation(
@@ -359,41 +276,29 @@ def find_violation(
     programs holds the programs of d1 and d2, then the left and right
     side of each axiom.
     """
-    split = _Split(total, k, gamma, n_atoms, n_slots, n_named, n_inds)
-
-    def violation(row):
-        """The elements of program row outside program row + 1."""
-        instrs = programs[row] + programs[row + 1] + ((OP_DIFF, 0, 0, 0),)
-        return _specialise(instrs, split)
-
-    base = True
-    checks = []
-    for row in range(2, len(programs), 2):
-        code, reads = violation(row)
-        if reads & HI:
-            checks.append((reads, code))
-        else:
-            base = base & (code[0][1] == 0)
-    if not np.any(base):
-        return -1
-    # Axioms over chunk-constant fields alone go first: one that fails
-    # rejects the chunk before any array is computed.
-    checks = [code for _r, code in sorted(checks, key=lambda rc: rc[0] & LO)]
-    goal, _reads = violation(0)
-    args = k, split.full, split.dtype
-    for hi in range(total // split.lanes):
-        env = split.fields(hi)
-        ok = base
+    u = k + gamma
+    n_bits = (total // k ** n_inds).bit_length() - 1
+    # Each field's planes as positions in a block's pattern list
+    # [0, bit 0, bit 1, ..., individual 0 at element 0, ...].
+    sources = [[1 + off + e - shift if 0 <= e - shift < width else 0
+                for e in range(u)]
+               for off, width, shift in _bit_fields(k, gamma, n_named,
+                                                    n_slots, n_atoms)]
+    first_digit = 1 + n_bits
+    sources += [[first_digit + i * k + e if e < k else 0 for e in range(u)]
+                for i in range(n_inds)]
+    goal = programs[0] + programs[1] + _DIFF
+    checks = [programs[row] + programs[row + 1] + _DIFF
+              for row in range(2, len(programs), 2)]
+    for start, lanes, bits, digits in _blocks(k, n_inds, n_bits):
+        ones = (1 << lanes) - 1
+        patterns = [0, *bits, *digits]
+        env = [[patterns[j] for j in src] for src in sources]
+        live = _union(_run(goal, env, k, u, ones))
         for code in checks:
-            viol = _run(code, env, *args)
-            if isinstance(viol, np.ndarray):
-                ok = ok & (viol == 0)
-                if not ok.any():
-                    break
-            elif viol:
+            if not live:
                 break
-        else:
-            hit = ok & (_run(goal, env, *args) != 0)
-            if np.any(hit):
-                return hi * split.lanes + int(np.argmax(hit))
+            live &= ~_union(_run(code, env, k, u, ones))
+        if live:
+            return start + (live & -live).bit_length() - 1
     return -1

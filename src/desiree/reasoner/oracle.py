@@ -22,17 +22,19 @@ Each ReasonerContext keeps one AxiomIndex of its theory, built at its
 first search: every axiom's symbol set and a map from each symbol to
 the axioms whose left side mentions it, so the fixpoint tests an axiom
 again only when such a symbol enters Σ. The index also carries the
-search memo: the kernel's answer per compiled problem (one per k),
-keyed by the arguments of kernels.find_violation (the counts of the
-search and its tuple of programs), so searches that differ only in
-symbol names run the kernel once. A context made by
-`ReasonerContext.assuming` (theory plus one assumed axiom) takes its
-parent's index extended by that axiom, so the two share the memo. All
-of it lives as long as the model's context, which the model keeps until
-its theory changes; nothing is kept across processes.
+search memo: the outcome of each search (the k and index of its hit, or
+none), keyed by the arguments of kernels.find_violation at k = 1 (the
+counts of the search and its tuple of programs), so searches that
+differ only in symbol names run the kernel once and compile only at
+k = 1. A context made by `ReasonerContext.assuming` (theory plus one
+assumed axiom) takes its parent's index extended by that axiom, so the
+two share the memo. All of it lives as long as the model's context,
+which the model keeps until its theory changes; nothing is kept across
+processes.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from desiree.reasoner import kernels
@@ -99,7 +101,7 @@ class AxiomIndex:
     Holds each axiom's symbol set and `by_lhs`, a map from each symbol to
     the positions of the axioms whose left side mentions it (key None:
     those whose left side may be nonempty whatever Σ is). `memo` maps a
-    compiled search problem to the kernel's answer, and `programs` holds
+    search's k = 1 problem to its outcome, and `programs` holds
     one copy of each program in the memo's keys; an index made by
     `extended` shares both.
     """
@@ -280,27 +282,35 @@ def oracle_disprove(
     is exhausted as well. Raises BoundsExceeded when no k fits, so the
     caller must fall back to Unknown.
 
-    Given an AxiomIndex, the kernel's answer is remembered in its memo,
-    keyed by the compiled problem, and a later search that compiles to
-    the same problem skips the kernel. Its witness is still decoded
-    with its own symbol table and replayed.
+    Given an AxiomIndex, the outcome is remembered in its memo: the k
+    and index of the hit, or -1 when every k came back empty. The key is
+    the compiled k = 1 problem, whose counts and programs fix the
+    problem at every larger k, so a later search that compiles to the
+    same k = 1 problem compiles nothing more and runs no kernel. Its
+    witness is still decoded with its own symbols at the hit's k and
+    replayed.
     """
     index = axioms if isinstance(axioms, AxiomIndex) else AxiomIndex(axioms)
     selected = select_axioms(d1, d2, index)
-    for table, total, programs in build_problems(d1, d2, selected):
-        key = (total, table.k, table.gamma, len(table.atoms),
-               len(table.slots), len(table.named), len(table.inds), programs)
-        idx = index.memo.get(key)
-        if idx is None:
-            idx = kernels.find_violation(*key)
-            # Few programs are distinct (51 in the 4,504 of an entail-search
-            # pass); a copy per key had the garbage collector run 40% more.
-            programs = tuple(index.programs.setdefault(p, p) for p in programs)
-            index.memo[key[:-1] + (programs,)] = idx
-        if idx >= 0:
-            break
-    else:
+    problems = build_problems(d1, d2, selected)
+    table, total, programs = next(problems)
+    key = (total, table.k, table.gamma, len(table.atoms), len(table.slots),
+           len(table.named), len(table.inds), programs)
+    found = index.memo.get(key)
+    if found is None:
+        idx = kernels.find_violation(*key)
+        while idx < 0 and (bigger := next(problems, None)) is not None:
+            table, total, programs = bigger
+            idx = kernels.find_violation(total, table.k, *key[2:7], programs)
+        found = table.k, idx
+        # Few programs are distinct (51 in the 4,504 of an entail-search
+        # pass); a copy per key had the garbage collector run 40% more.
+        programs = tuple(index.programs.setdefault(p, p) for p in key[-1])
+        index.memo[key[:-1] + (programs,)] = found
+    k, idx = found
+    if idx < 0:
         return None
+    table = replace(table, k=k)
     interp = kernels.decode_interpretation(idx, table)
     viol = violates_subsumption(interp, d1, d2)
     if not viol or not satisfies_axioms(interp, selected):

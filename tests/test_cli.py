@@ -1,7 +1,11 @@
 """CLI behavior: exit codes, output shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_numpy_out():
+    """The CLI and the bounded search start without numpy."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, desiree.cli, desiree.reasoner.oracle; "
+            "print('numpy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

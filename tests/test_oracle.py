@@ -2,12 +2,11 @@
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from desiree.reasoner import kernels
+from desiree.reasoner import kernels, oracle
 from desiree.reasoner.interp import witness_from_json
 from desiree.reasoner.normal import ReasonerContext
 from desiree.reasoner.oracle import (
@@ -271,6 +270,35 @@ def test_renamed_pair_reuses_the_search(monkeypatch):
     assert w3.to_json() == w2.to_json()
 
 
+def test_renamed_pair_compiles_only_at_k1(monkeypatch):
+    ks = []
+    assemble = oracle.assemble
+
+    def logged(descriptions, table):
+        ks.append(table.k)
+        return assemble(descriptions, table)
+
+    monkeypatch.setattr(oracle, "assemble", logged)
+    index = ReasonerContext(axioms=[]).axiom_index()
+    w1 = oracle_disprove(pd("<s: =2 A>"), pd("<s: =1 A>"), index)
+    assert (ks, w1.interp.k) == ([1, 2], 2)
+    # the memo holds the hit's k and index under the k = 1 problem: the
+    # renamed pair compiles at k = 1 for the key, and never at k = 2
+    for _ in range(2):
+        ks.clear()
+        w2 = oracle_disprove(pd("<t: =2 B>"), pd("<t: =1 B>"), index)
+        assert (ks, w2.interp.k) == ([1], 2)
+        assert set(w2.interp.slots) == {"t"}
+        assert replay_witness(w2)
+    # an exhaustive outcome is remembered as well
+    ks.clear()
+    assert oracle_disprove(pd("A B"), pd("A"), index) is None
+    assert ks == [1, 2, 3]
+    ks.clear()
+    assert oracle_disprove(pd("C D"), pd("C"), index) is None
+    assert ks == [1]
+
+
 def test_interval_widening_monotone_only_for_some():
     # the default modifier demands exactly one filler in the region, so
     # widening is not entailed: a second edge in (20, 30] breaks it
@@ -363,107 +391,123 @@ def test_kernel_matches_reference_sweep(case):
         assert kernel_on(d1, d2, axioms, k) == scalar_first(d1, d2, axioms, k)
 
 
-def logged_kernel(monkeypatch, d1, d2, axioms, k):
-    """The kernel's index at k on the problem of exactly these axioms; per
-    visited chunk, the (program, came out as an array) of every program
-    run; and what each program reads (kernels.LO, kernels.HI or both).
-    Program i < len(axioms) is axiom i, program len(axioms) the pair's.
+def logged_blocks(monkeypatch, d1, d2, axioms, k):
+    """The kernel's index at k on the problem of exactly these axioms, and
+    per visited block its [first index, lanes, programs run]: the pair's
+    program runs first, then one per axiom until the block is empty."""
+    blocks = []
+    block_gen, run = kernels._blocks, kernels._run
 
-    Fails as soon as any array is longer than MAX_LANES.
-    """
-    visits, programs, reads = [], [], []
-    fields, run, specialise = (kernels._Split.fields, kernels._run,
-                               kernels._specialise)
+    def logged_gen(*args):
+        for block in block_gen(*args):
+            blocks.append([block[0], block[1], 0])
+            yield block
 
-    def logged_fields(self, hi):
-        env = fields(self, hi)
-        assert all(np.size(v) <= kernels.MAX_LANES for v in env)
-        visits.append([])
-        return env
+    def logged_run(*args):
+        blocks[-1][2] += 1
+        return run(*args)
 
-    def logged_specialise(*args):
-        code, r = specialise(*args)
-        programs.append(code)
-        reads.append(r)
-        return code, r
-
-    def logged_run(code, *args):
-        res = run(code, *args)
-        assert np.size(res) <= kernels.MAX_LANES
-        which = [i for i, p in enumerate(programs) if p is code]
-        if which:
-            visits[-1].append((which[0], np.ndim(res) > 0))
-        return res
-
-    monkeypatch.setattr(kernels._Split, "fields", logged_fields)
-    monkeypatch.setattr(kernels, "_specialise", logged_specialise)
+    monkeypatch.setattr(kernels, "_blocks", logged_gen)
     monkeypatch.setattr(kernels, "_run", logged_run)
-    return kernel_on(d1, d2, axioms, k), visits, reads
+    return kernel_on(d1, d2, axioms, k), blocks
 
 
-EIGHT = "{a, b, c, d, e, f, g, h}"
+# The block cases run with a first block of 2^CASE_FIRST_BITS bit-field
+# values, so small problems take several blocks.
+CASE_FIRST_BITS = 2
 
-CHUNK_CASES = {
-    "witness past the first chunk":
-        ("A", "B | {a}", [("A", "<s: SOME Anything>")]),
-    "straddling field": ("<s: SOME A>", "<s: A>", []),
-    "exhaustive over chunks": ("<s: =2 A>", "<s: SOME A>", []),
-    "chunk killed by a constant axiom":
-        ("A", EIGHT, [("{a} A", "A"), ("{i}", "A")]),
-    "more individual digits than fit":
-        ("A", "{i} | B " + EIGHT, []),
+BLOCK_CASES = {
+    "witness past the first block":
+        ("A", "B | {a}", [("A", "<s: SOME Anything>")], 2),
+    "exhaustive over blocks": ("<s: =2 A>", "<s: SOME A>", [], 3),
+    # c apart from a and b, which are apart: three elements; B holds all
+    # three, so the value of its field is 7
+    "k = 3 digit pattern": ("{c} - ({a} | {b})", "Nothing",
+                            [("{a} {b}", "Nothing"), ("Anything", "B")], 3),
+    # Z is the top bit: every block below it breaks the first axiom
+    "axiom empties a block":
+        ("A", "B", [("Anything", "Z"), ("B", "A")], 1),
+    # two targets of one s-edge, both in A: A's field holds the block's
+    # bit and the bit below it
+    "field across the block edge": ("<s: SOME A>", "<s: A>", [], 2),
 }
 
 
-@pytest.mark.parametrize("name", CHUNK_CASES)
-def test_chunked_kernel_matches_reference(monkeypatch, name):
-    d1, d2, axioms = CHUNK_CASES[name]
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_schedule(monkeypatch, name):
+    d1, d2, axioms, k = BLOCK_CASES[name]
     d1, d2 = pd(d1), pd(d2)
     axioms = [(pd(lhs), pd(rhs)) for lhs, rhs in axioms]
     assert select_axioms(d1, d2, axioms) == axioms
-    # every k against the reference; the case's shape at the largest k
-    for k in problems(d1, d2, axioms):
+    monkeypatch.setattr(kernels, "FIRST_BITS", CASE_FIRST_BITS)
+    # every k against the reference; the case's shape at its k
+    for each in problems(d1, d2, axioms):
         with pytest.MonkeyPatch.context() as mp:
-            got, visits, _reads = logged_kernel(mp, d1, d2, axioms, k)
-        assert got == scalar_first(d1, d2, axioms, k, limit=BUDGET)
+            got, blocks = logged_blocks(mp, d1, d2, axioms, each)
+        assert got == scalar_first(d1, d2, axioms, each, limit=BUDGET)
+        if each == k:
+            shape = got, blocks
+    got, blocks = shape
     table, total, _programs = problems(d1, d2, axioms)[k]
-    chunks = kernels._Split(total, table.k, table.gamma, len(table.atoms),
-                            len(table.slots), len(table.named),
-                            len(table.inds))
-    assert chunks.lanes <= kernels.MAX_LANES
-    assert total >= 3 * chunks.lanes
-    if name == "witness past the first chunk":
-        assert got // chunks.lanes >= 2
-    elif name == "straddling field":
-        # the witness sets bits of the straddling field on both sides
-        _field, part, _shift, mask = chunks.straddle
-        assert part[got % chunks.lanes] and got // chunks.lanes & mask
-    elif name == "exhaustive over chunks":
+    ways = table.k ** len(table.inds)
+    # blocks tile the indices in order: [0, 2^FIRST_BITS) values, then
+    # [2^m, 2^(m+1)) for each m after
+    first = ways << CASE_FIRST_BITS
+    assert [(start, lanes) for start, lanes, _runs in blocks] == [
+        (0, first)] + [(first << i, first << i)
+                       for i in range(len(blocks) - 1)]
+    if got >= 0:
+        start, lanes, _runs = blocks[-1]
+        assert start <= got < start + lanes
+        # an early witness costs at most about twice its index
+        assert sum(lanes for _s, lanes, _r in blocks) <= first + 2 * got
+    if name == "witness past the first block":
+        assert got >= first
+    elif name == "exhaustive over blocks":
         assert got == -1
-        assert len(visits) == total // chunks.lanes
-        # nothing to hoist: A straddles the split, so each chunk runs
-        # the pair's program, and only that
-        assert all(v == [(0, True)] for v in visits)
-    elif name == "chunk killed by a constant axiom":
-        assert got // chunks.lanes >= 3
-        killed = [v for v in visits if not any(arr for _prog, arr in v)]
-        assert len(killed) >= 3
-        # axiom 1 reads only i and A, both above the split: it runs
-        # first, as integers, and rejects the chunk on its own
-        assert all(v == [(1, False)] for v in killed)
+        assert sum(lanes for _s, lanes, _r in blocks) == total
+        assert len(blocks) > 2
+        assert all(runs == 1 for _s, _l, runs in blocks)
+    elif name == "k = 3 digit pattern":
+        assert got // ways == 7
+        # the smallest digits: c (the most significant) at element 0,
+        # then b at 1 and a at 2
+        assert got % ways == 2 + 1 * 3 + 0 * 9
+    elif name == "axiom empties a block":
+        assert len(blocks) >= 2
+        # before the hit, the pair's program and the first axiom run,
+        # and the second axiom never does
+        assert all(runs == 2 for _s, _l, runs in blocks[:-1])
+        assert got == 0b101
     else:
-        assert table.k ** len(table.inds) > kernels.MAX_LANES
-        assert chunks.lo_inds < len(table.inds)
-        # the witness needs i, the digit above the split, off element 0
-        assert got // chunks.lanes % table.k != 0
+        value = got // ways
+        m = value.bit_length() - 1
+        assert m >= CASE_FIRST_BITS
+        off, width, _shift = next(
+            f for f in kernels._bit_fields(
+                table.k, table.gamma, len(table.named), len(table.slots),
+                len(table.atoms))
+            if f[0] <= m < f[0] + f[1])
+        assert off < m and value >> off & ((1 << (m - off)) - 1)
 
 
-# The differential test below draws small problems and lane caps far
-# below MAX_LANES, so the split falls everywhere: between individual
-# digits, inside a field, above every field. The leaves cover fields
-# below the split (invariant), above it (chunk-constant) and across it,
-# enums whose members sit on both sides, and constants, so that an
-# axiom such as Anything :< Nothing empties the base mask.
+def test_early_witness_evaluates_about_twice_its_index(monkeypatch):
+    atoms = [f"A{i:02d}" for i in range(21)]
+    d1 = pd("A12 - (" + " | ".join(atoms[:12]) + ")")
+    d2 = pd(" | ".join(atoms[13:]))
+    table, total, _programs = problems(d1, d2, [])[1]
+    assert total == 1 << 21
+    got, blocks = logged_blocks(monkeypatch, d1, d2, [], 1)
+    assert got == 4096
+    first = 1 << kernels.FIRST_BITS
+    assert sum(lanes for _s, lanes, _r in blocks) <= 2 * 4096 + first
+
+
+# The differential test below draws small problems and first blocks of
+# 1, 2 or 4 bit-field values, so block edges fall everywhere: between
+# fields and inside them. The leaves cover atoms, named regions, enums
+# over one or two individuals, and constants, so that an axiom such as
+# Anything :< Nothing empties every block.
 kernel_leaves = st.one_of(
     st.sampled_from("AB").map(ast.Atom),
     st.sampled_from([ast.ANYTHING, ast.NOTHING,
@@ -485,7 +529,6 @@ slot_descs = st.recursive(
         st.builds(ast.Proj, sub, st.just("s")),
         st.builds(ast.And, sub, sub),
         st.builds(ast.Diff, sub, sub)), max_leaves=3)
-LANE_CAPS = [1, 2, 4, 8, 16, 32, 128, kernels.MAX_LANES]
 
 
 @st.composite
@@ -506,8 +549,7 @@ def kernel_problems(draw):
     else:
         sides, leaves = slot_descs, slot_descs
     d1, d2 = draw(sides), draw(sides)
-    # an axiom over one symbol reads one side of the split, or both
-    # when that symbol straddles it
+    # an axiom over one symbol can break on whole blocks
     one_symbol = one_symbol_sides(leaves).flatmap(
         lambda side: st.tuples(side, side))
     axioms = draw(st.lists(st.one_of(st.tuples(sides, sides), one_symbol),
@@ -515,65 +557,15 @@ def kernel_problems(draw):
     return d1, d2, select_axioms(d1, d2, axioms)
 
 
-def kernel_cases(d1, d2, axioms, k, reads, visits, got):
-    """The specialisation cases the search at k meets."""
-    table, total, programs = problems(d1, d2, axioms)[k]
-    split = kernels._Split(total, table.k, table.gamma, len(table.atoms),
-                           len(table.slots), len(table.named),
-                           len(table.inds))
-    cases = set()
-    if split.straddle is not None:
-        cases.add("straddling field")
-    for op, a, _b, _c in sum(programs, ()):
-        if (op == kernels.OP_PUSH_ENUM
-                and min(a) < split.ind0 + split.lo_inds <= max(a)):
-            cases.add("enum split")
-    for r in reads[:len(axioms)]:
-        if r == kernels.LO:
-            cases.add("invariant axiom")
-        elif r == kernels.HI:
-            cases.add("chunk-constant axiom")
-    if got < 0 and not visits and len(reads) == len(axioms):
-        cases.add("empty base")
-    return cases
-
-
-KERNEL_EXAMPLES = [
-    # A below the split and empty, B above it and empty
-    (("A", "B", [("A", "Anything - A"), ("B", "Anything - B")]), 8,
-     {"invariant axiom", "chunk-constant axiom"}),
-    # the split falls inside A's field
-    (("A", "B", []), 4, {"straddling field"}),
-    # a below the split, b above it
-    (("A {a, b}", "B", []), 4, {"enum split"}),
-    (("A", "B", [("Anything", "Nothing")]), 64, {"empty base"}),
-]
-
-
-def specialised_search(d1, d2, axioms, cap):
-    """The cases the kernel met at lane cap `cap` over every k that
-    fits, once its index has matched the reference's at each."""
-    cases = set()
-    for k in problems(d1, d2, axioms):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "MAX_LANES", cap)
-            got, visits, reads = logged_kernel(mp, d1, d2, axioms, k)
-            cases |= kernel_cases(d1, d2, axioms, k, reads, visits, got)
-        assert got == scalar_first(d1, d2, axioms, k, limit=BUDGET)
-    return cases
-
-
-@pytest.mark.parametrize("case", range(len(KERNEL_EXAMPLES)))
-def test_kernel_examples_meet_each_case(case):
-    (d1, d2, axioms), cap, want = KERNEL_EXAMPLES[case]
-    d1, d2 = pd(d1), pd(d2)
-    axioms = [(pd(lhs), pd(rhs)) for lhs, rhs in axioms]
-    assert select_axioms(d1, d2, axioms) == axioms
-    assert want <= specialised_search(d1, d2, axioms, cap)
-
-
 @settings(max_examples=80, deadline=None)
-@given(kernel_problems(), st.sampled_from(LANE_CAPS))
-def test_specialised_kernel_matches_reference(problem, cap):
-    for name in sorted(specialised_search(*problem, cap)):
-        event(name)
+@given(kernel_problems(), st.integers(0, 2))
+def test_kernel_matches_reference_at_small_first_blocks(problem, first_bits):
+    """The kernel's index equals the reference's at every k, with a first
+    block so small that block edges fall inside every field."""
+    for k in problems(*problem):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "FIRST_BITS", first_bits)
+            got, blocks = logged_blocks(mp, *problem, k)
+        assert got == scalar_first(*problem, k, limit=BUDGET)
+        event("several blocks" if len(blocks) > 1 else "one block")
+        event("witness" if got >= 0 else "exhaustive")
