@@ -12,15 +12,16 @@ JAIR 2008), so every witness also replays against the whole theory.
 
 The universe has k abstract individuals plus a grid of value points
 built from every numeric boundary mentioned (boundaries, midpoints, one
-point past each end) and every literal (plus one fresh literal). k
+point past each end) and every literal (plus one fresh literal):
+regions.build_grid, the grid on which the region decisions probe too. k
 ascends through 1, 2, 3 while the full enumeration fits the budget, and
 the first hit ends the search (small k first, as in Claessen &
 Sörensson's MACE-style model finding), so only an exhaustive scan at
 the largest k that fits comes back empty.
 
 Each ReasonerContext keeps one AxiomIndex of its theory, built at its
-first search: every axiom's symbol set and a map from each symbol to
-the axioms whose left side mentions it, so the fixpoint tests an axiom
+first search: a map from each symbol to the axioms whose left side
+mentions it, each with its symbol set, so the fixpoint tests an axiom
 again only when such a symbol enters Σ. The index also carries the
 search memo: the outcome of each search (the k and index of its hit, or
 none), keyed by the arguments of kernels.find_violation at k = 1 (the
@@ -28,18 +29,18 @@ counts of the search and its tuple of programs), so searches that
 differ only in symbol names run the kernel once and compile only at
 k = 1. A context made by `ReasonerContext.assuming` (theory plus one
 assumed axiom) takes its parent's index extended by that axiom, so the
-two share the memo. All of it lives as long as the model's context,
-which the model keeps until its theory changes; nothing is kept across
-processes.
+two share the memo and every entry list that axiom does not join. All
+of it lives as long as the model's context, which the model keeps until
+its theory changes; nothing is kept across processes.
 """
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 
 from desiree.reasoner import kernels
 from desiree.reasoner.compile import SymbolTable, assemble
-from desiree.reasoner.interp import GridPoint, Witness
+from desiree.reasoner.interp import Witness
+from desiree.reasoner.regions import build_grid, census
 from desiree.reasoner.semantics import satisfies_axioms, violates_subsumption
 from desiree.syntax import ast
 from desiree.syntax.render import render_description
@@ -55,7 +56,7 @@ class BoundsExceeded(Exception):
 
 def symbols_of(d: ast.Description) -> frozenset[str]:
     """The atoms, slots, named regions and individuals d mentions."""
-    atoms, slots, named, inds, *_ = _census([d])
+    atoms, slots, inds, named, *_ = _census([d])
     return frozenset(atoms | slots | named | inds)
 
 
@@ -98,46 +99,45 @@ def _nonempty_when_empty(d: ast.Description, sigma=frozenset()) -> bool:
 class AxiomIndex:
     """The axioms of one theory, indexed for select_axioms.
 
-    Holds each axiom's symbol set and `by_lhs`, a map from each symbol to
-    the positions of the axioms whose left side mentions it (key None:
-    those whose left side may be nonempty whatever Σ is). `memo` maps a
-    search's k = 1 problem to its outcome, and `programs` holds
-    one copy of each program in the memo's keys; an index made by
-    `extended` shares both.
+    `by_lhs` maps each symbol to the entries (position, axiom, symbols)
+    of the axioms whose left side mentions it (key None: those whose
+    left side may be nonempty whatever Σ is); `count` is the number of
+    axioms. `memo` maps a search's k = 1 problem to its outcome, and
+    `programs` holds one copy of each program in the memo's keys. An
+    index made by `extended` shares all three with its parent, and
+    every entry list the new axiom does not join.
     """
 
     def __init__(self, axioms: list[AxiomPair] | tuple[AxiomPair, ...] = ()):
-        self.axioms: list[AxiomPair] = []
-        self.syms: list[frozenset[str]] = []
-        self.by_lhs: dict[str | None, list[int]] = {}
+        self.count = 0
+        self.by_lhs: dict[str | None, list] = {}
         self.memo: dict = {}
         self.programs: dict = {}
         for ax in axioms:
             self._add(ax)
 
-    def _add(self, axiom: AxiomPair) -> None:
+    def _add(self, axiom: AxiomPair, shared: bool = False) -> None:
+        """Index one more axiom; a shared list is copied, not grown."""
         lhs, rhs = axiom
-        i = len(self.axioms)
-        self.axioms.append(axiom)
         left = symbols_of(lhs)
-        self.syms.append(left | symbols_of(rhs))
+        entry = (self.count, axiom, left | symbols_of(rhs))
+        self.count += 1
         for s in (None,) if _nonempty_when_empty(lhs) else left:
-            self.by_lhs.setdefault(s, []).append(i)
+            if shared:
+                self.by_lhs[s] = [*self.by_lhs.get(s, ()), entry]
+            else:
+                self.by_lhs.setdefault(s, []).append(entry)
 
     def extended(self, axiom: AxiomPair) -> "AxiomIndex":
         """This index plus one axiom at the end, sharing the memo.
 
-        Only the position lists the new axiom may join are copied; the
+        Only the entry lists the new axiom joins are copied; the
         theory's axioms are not walked again.
         """
         new = AxiomIndex()
-        new.axioms = list(self.axioms)
-        new.syms = list(self.syms)
-        new.by_lhs = dict(self.by_lhs)
+        new.count, new.by_lhs = self.count, dict(self.by_lhs)
         new.memo, new.programs = self.memo, self.programs
-        for s in symbols_of(axiom[0]) | {None}:
-            new.by_lhs[s] = list(self.by_lhs.get(s, ()))
-        new._add(axiom)
+        new._add(axiom, shared=True)
         return new
 
 
@@ -158,25 +158,21 @@ def select_axioms(
     index = axioms if isinstance(axioms, AxiomIndex) else AxiomIndex(axioms)
     sigma = set(symbols_of(d1) | symbols_of(d2))
     todo: list[str | None] = [None, *sigma]
-    chosen: set[int] = set()
+    chosen: dict[int, AxiomPair] = {}
     while todo:
-        for i in index.by_lhs.get(todo.pop(), ()):
-            if i not in chosen and _nonempty_when_empty(index.axioms[i][0],
-                                                        sigma):
-                chosen.add(i)
-                todo.extend(index.syms[i] - sigma)
-                sigma |= index.syms[i]
-    return [index.axioms[i] for i in sorted(chosen)]
+        for i, axiom, syms in index.by_lhs.get(todo.pop(), ()):
+            if i not in chosen and _nonempty_when_empty(axiom[0], sigma):
+                chosen[i] = axiom
+                todo.extend(syms - sigma)
+                sigma |= syms
+    return [chosen[i] for i in sorted(chosen)]
 
 
 def _census(descs: list[ast.Description]):
     atoms: set[str] = set()
     slots: set[str] = set()
-    named: set[str] = set()
     inds: set[str] = set()
-    units: set[str] = set()
-    nums: set[Fraction] = set()
-    lits: set[str] = set()
+    regions: list[ast.RegionExpr] = []
     for d in descs:
         for node in ast.walk(d):
             if isinstance(node, ast.Atom):
@@ -187,46 +183,8 @@ def _census(descs: list[ast.Description]):
             elif isinstance(node, ast.Enum):
                 inds.update(node.members)
             elif isinstance(node, ast.Region):
-                r = node.expr
-                if isinstance(r, ast.Named):
-                    named.add(r.name)
-                elif isinstance(r, ast.Interval):
-                    units.add(r.unit or "")
-                    nums.add(r.lo)
-                    if r.hi is not None:
-                        nums.add(r.hi)
-                elif isinstance(r, ast.Percent):
-                    units.add("%")
-                    nums.add(r.lo)
-                    nums.add(r.hi)
-                elif isinstance(r, ast.ValueSet):
-                    for v in r.values:
-                        try:
-                            nums.add(Fraction(v))
-                            units.add("")
-                        except ValueError:
-                            lits.add(v)
-    return atoms, slots, named, inds, units, nums, lits
-
-
-def _build_grid(nums: set[Fraction], lits: set[str],
-                need_slack: bool) -> tuple[GridPoint, ...]:
-    points: list[GridPoint] = []
-    ordered = sorted(nums)
-    if ordered:
-        points.append(ordered[0] - 1)
-        for i, v in enumerate(ordered):
-            points.append(v)
-            if i + 1 < len(ordered):
-                points.append((v + ordered[i + 1]) / 2)
-        points.append(ordered[-1] + 1)
-    for lit in sorted(lits):
-        points.append(lit)
-    if lits:
-        points.append("__other__")
-    if not points and need_slack:
-        points.append(Fraction(0))
-    return tuple(points)
+                regions.append(node.expr)
+    return (atoms, slots, inds, *census(regions))
 
 
 def _sizes(n_atoms, n_slots, n_named, n_inds, gamma):
@@ -252,11 +210,11 @@ def build_problems(
     d2 and each axiom's sides. The census and the grid are made once;
     each k is compiled when the caller asks for it."""
     descs = [d1, d2, *(side for axiom in axioms for side in axiom)]
-    atoms, slots, named, inds, units, nums, lits = _census(descs)
+    atoms, slots, inds, named, units, nums, lits = _census(descs)
     if len(units) > 1:
         raise BoundsExceeded(
             "mixed units: " + ", ".join(sorted(u or "(none)" for u in units)))
-    grid = _build_grid(nums, lits, need_slack=bool(slots or named))
+    grid = build_grid(nums, lits, need_slack=bool(slots or named))
     for k, total in _sizes(len(atoms), len(slots), len(named), len(inds),
                            len(grid)):
         table = SymbolTable(

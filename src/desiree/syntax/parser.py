@@ -191,7 +191,7 @@ class ModelFileAst:
 # Parser.
 
 
-_DESC_START_SYMS = ("<", "{", "(", "[", "<=", ">=")
+_DESC_START_SYMS = ("<", "{", "(", "[", "<=", ">=", "::")
 
 
 class _Parser:
@@ -374,7 +374,7 @@ class _Parser:
         if self.cur.kind == IDENT:
             return self.advance().text
         if self.cur.kind == NUMBER:
-            return str(self.advance().value)
+            return str(self.parse_number())
         raise ParseError(self.cur.span, f"expected value literal, found {self.cur.text!r}")
 
     # -- descriptions ------------------------------------------------------
@@ -473,6 +473,11 @@ class _Parser:
             # A quoted name in description position is a named region;
             # bare identifiers stay concept atoms.
             return ast.Region(ast.Named(self.advance().value))
+        if tok.is_sym("::"):
+            # `:: R` reads R in region context, so `:: {3, Mon}` is a
+            # value set where `{3, Mon}` would be an enumeration.
+            self.advance()
+            return ast.Region(self.parse_region())
         raise ParseError(tok.span, f"expected description, found {tok.text!r}")
 
     def _slot(self) -> ast.Description:

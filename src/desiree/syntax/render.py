@@ -122,9 +122,12 @@ def _render_at(d: ast.Description) -> str:
         return "{" + ", ".join(d.members) + "}"
     if isinstance(d, ast.Region):
         # Description position: named regions must be quoted so they do not
-        # read back as concept atoms.
+        # read back as concept atoms, and value sets marked so they do not
+        # read back as enumerations.
         if isinstance(d.expr, ast.Named):
             return _quote(d.expr.name)
+        if isinstance(d.expr, ast.ValueSet):
+            return ":: " + render_region(d.expr)
         return render_region(d.expr)
     raise TypeError(f"not a description: {d!r}")
 

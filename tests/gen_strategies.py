@@ -67,15 +67,12 @@ atoms = idents.map(ast.Atom)
 def descriptions(max_depth: int = 3):
     """Concept-position descriptions (regions only appear as slot fillers).
 
-    In description position braces always read as enumerations, so value-set
-    regions only occur behind region-context slots (has_value_in); the
-    strategies respect that split.
+    In description position braces read as enumerations; a value-set
+    region there is written `:: {...}`.
     """
 
     def extend(children):
-        plain_region_fillers = st.one_of(
-            named_regions, intervals(), percents()).map(ast.Region)
-        fillers = st.one_of(children, plain_region_fillers)
+        fillers = st.one_of(children, regions.map(ast.Region))
         return st.one_of(
             st.builds(ast.Slot, slot_names, modifiers, fillers),
             st.builds(ast.Slot, st.just("has_value_in"),

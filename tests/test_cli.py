@@ -11,6 +11,8 @@ import pytest
 
 from desiree import cli
 from desiree.cli import main
+from desiree.reasoner.interp import witness_from_json
+from desiree.reasoner.semantics import replay_witness
 
 CORPUS = str(resources.files("desiree") / "corpus" / "meeting_scheduler.dsr")
 CLEAN = str(resources.files("desiree") / "corpus"
@@ -319,6 +321,39 @@ def test_entail_json(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "disproved"
     assert "witness" in doc
+
+
+REGION_KINDS = """\
+qc Q_sec = Processing_time (F1) :: [0, 30 Sec].
+qc Q_slow = Processing_time (F1) :: >= 10 (Sec).
+qc Q_fast = Processing_time (F1) :: <= 5 (Sec).
+qc Q_mb = Processing_time (F1) :: [2, 8 MB].
+qc Q_big = Processing_time (F1) :: >= 4 (MB).
+qc Q_pct = Processing_time (F1) :: [20%, 90%].
+qc Q_set = Processing_time (F1) :: {3, 5, Mon}.
+qc Q_point = Processing_time (F1) :: [5, 5].
+qc Q_named = Processing_time (F1) :: Fast.
+"""
+
+
+def test_entail_region_witnesses_replay(tmp_path, capsys):
+    f = tmp_path / "regions.dsr"
+    f.write_text(REGION_KINDS)
+    ids = [line.split()[1] for line in REGION_KINDS.splitlines()]
+    verdicts = {}
+    for a in ids:
+        for b in ids:
+            code, out, _ = run(capsys, "entail", "--json", str(f), a, b)
+            assert code == 0
+            doc = json.loads(out)
+            verdicts[a, b] = doc["verdict"]
+            if doc["verdict"] == "disproved":
+                w = witness_from_json(json.dumps(doc["witness"]))
+                assert replay_witness(w), (a, b)
+    assert verdicts["Q_slow", "Q_fast"] == "disproved"
+    assert verdicts["Q_set", "Q_sec"] == "disproved"
+    assert verdicts["Q_point", "Q_set"] == "proved"
+    assert list(verdicts.values()).count("disproved") == 18
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,11 @@ from desiree.reasoner.entail import (
     quality_entails,
 )
 from desiree.reasoner.normal import ReasonerContext, structural_subsumes
-from desiree.reasoner.oracle import BoundsExceeded, oracle_disprove
+from desiree.reasoner.oracle import (
+    BoundsExceeded,
+    oracle_disprove,
+    select_axioms,
+)
 from desiree.reasoner.semantics import replay_witness, satisfies_axioms
 from desiree.reasoner.subsume import subsumes
 from desiree.reasoner.verdict import Disproved, Unknown, is_proved
@@ -144,6 +148,15 @@ class TestQualityRule:
                             qb("Processing_time", "F1", interval(0, 20)),
                             ReasonerContext())
         assert isinstance(v, Disproved)
+        assert replay_witness(v.witness)
+
+    def test_region_wholly_above_disproved_with_replay(self):
+        # the witness lies in the first region: 10, not a point past 5
+        v = quality_entails(qb("Processing_time", "F1", interval(10, None)),
+                            qb("Processing_time", "F1", interval(0, 5)),
+                            ReasonerContext())
+        assert isinstance(v, Disproved)
+        assert v.witness.interp.grid == (Fraction(10),)
         assert replay_witness(v.witness)
 
     def test_quality_contravariant(self):
@@ -329,7 +342,10 @@ class TestAssuming:
         assert ctx2.axioms == ctx.axioms + [ax]
         assert ctx2.disjoints == ctx.disjoints
         assert ctx2.axiom_index().memo is ctx.axiom_index().memo
-        assert ctx2.axiom_index().axioms == ctx.axiom_pairs() + [ax]
+        pair = D("Advanced_search"), D("<actor: ONLY User>")
+        selected = select_axioms(*pair, ctx2.axiom_index())
+        assert selected == select_axioms(*pair, ctx.axiom_pairs() + [ax])
+        assert selected == [ctx.axioms[0], ax]
 
     def test_tables_extend_the_parents(self):
         ctx = ctx_with("Advanced_search :< Search", "Search :< Function",

@@ -30,6 +30,10 @@ def test_roundtrip_specific_shapes():
                  ast.Region(ast.Interval(Fraction(20), None))),
         ast.Slot("q", ast.Only(),
                  ast.Region(ast.Named("Nearly Fast"))),
+        # A value set outside region context is marked, not an enumeration.
+        ast.Region(ast.ValueSet(("3/2", "Mon"))),
+        ast.And(ast.Region(ast.Interval(Fraction(0), Fraction(5))),
+                ast.Region(ast.ValueSet(("5",)))),
     ]
     for d in cases:
         assert parse_description(render_description(d)) == d
@@ -46,3 +50,5 @@ def test_render_examples():
     d = ast.Slot("when", ast.ExactlyOne(),
                  ast.Or(ast.Atom("Weekday"), ast.Enum(("Sat",))))
     assert render_description(d) == "<when: Weekday | {Sat}>"
+    d = ast.Region(ast.ValueSet(("3", "Mon")))
+    assert render_description(d) == ":: {3, Mon}"
