@@ -5,7 +5,9 @@ The front-end counterpart of `bench_oracle.py`. For each input group it
 reports, best of REPS runs:
 
 - `tokenize`: microseconds per token and tokens per second;
-- `parse_model_file` (which lexes too): declarations per second.
+- `parse_model_file` (which lexes too): declarations per second;
+- the parser alone: `parse_model_file` minus `tokenize`, per token, so
+  the lexer/parser split can be read without the tracer.
 
 The groups are the two bundled corpus files and the synth-check models
 of the benchmark (`perfbench/`): the size ladder `SYNTH_LADDER`, made by
@@ -76,13 +78,17 @@ def main(argv=None) -> int:
             decls += len(parsed.declarations)
         lex_s = best_of(args.reps, tokenize, texts)
         parse_s = best_of(args.reps, parse_model_file, texts)
-        print(f"{label:22s} ({len(texts):2d} files, {tokens:>7,} tokens, "
-              f"{decls:>6,} decls)  "
-              f"tokenize {lex_s * 1000:8.2f} ms "
+        own_s = parse_s - lex_s
+        print(f"{label} ({len(texts)} files, {tokens:,} tokens, "
+              f"{decls:,} decls)\n"
+              f"  tokenize         {lex_s * 1000:8.2f} ms "
               f"{lex_s / tokens * 1e6:6.2f} us/token "
-              f"{tokens / lex_s:10,.0f} tokens/s  "
-              f"parse_model_file {parse_s * 1000:8.2f} ms "
-              f"{decls / parse_s:9,.0f} decls/s")
+              f"{tokens / lex_s:10,.0f} tokens/s\n"
+              f"  parse_model_file {parse_s * 1000:8.2f} ms "
+              f"{parse_s / tokens * 1e6:6.2f} us/token "
+              f"{decls / parse_s:10,.0f} decls/s\n"
+              f"  parser alone     {own_s * 1000:8.2f} ms "
+              f"{own_s / tokens * 1e6:6.2f} us/token")
     return 0
 
 

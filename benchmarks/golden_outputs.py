@@ -15,11 +15,15 @@ it prints. It runs, in-process through `desiree.cli.main`:
 
 It prints the number of commands and one sha256 over the
 (argv, exit status, stdout, stderr) of each, in order. Every model path
-is written relative to the checkout root when it lies inside it, else
-relative to the working directory, so two checkouts in different
-directories give the same digest. Run from anywhere:
+is written relative to the checkout root when it lies inside it, else as
+its file name alone, so the digest does not depend on where the checkout
+lies or on the directory the script runs from. Run from anywhere:
 
     python3 benchmarks/golden_outputs.py [EXTRA.dsr ...]
+
+For example, the front-end gate compares the digest over the 11 seed-1
+synth-check models and the seed-1 entail-search theory (the files that
+`perfbench/run.py` writes to `.perfbench_out/inputs/`) at two commits.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -49,7 +52,7 @@ def shown(path: Path) -> str:
     path = path.resolve()
     if path.is_relative_to(ROOT):
         return str(path.relative_to(ROOT))
-    return os.path.relpath(path)
+    return path.name
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:

@@ -41,8 +41,8 @@ E_IO = "E-IO-001"            # unreadable file / usage problem
 class Span(NamedTuple):
     """1-based source position of a token or construct.
 
-    A tuple, so it unpacks as (line, col) like the plain pairs the lexer
-    hands to its tokens (see `syntax.lexer.Token`).
+    A tuple, so it unpacks as (line, col) like the plain pairs a
+    `syntax.lexer.Token` may be given.
     """
 
     line: int

@@ -1,8 +1,18 @@
-"""Recursive-descent parser for descriptions and model files.
+"""Parser for descriptions and model files.
 
-Precedence, loosest to tightest: Diff < Or < And (juxtaposition) < Proj.
-Parentheses override. Declarations end at a dot that is not glued on both
-sides (glued dots belong to projections like `F1.object`).
+The parser walks the lexer's flat lists (`Tokens.kinds`, `Tokens.texts`)
+with an index and builds no object per token: a Span is made for a
+declaration or a diagnostic, a value for a number, string or variable
+when one is read. A symbol is matched by its text alone, since no other
+kind of token has a symbol's text.
+
+A description is read by one precedence-climbing loop, `_Parser._expr`
+(Pratt, "Top down operator precedence", POPL 1973). Binding power,
+loosest to tightest: Diff `-` < Or `|` < And `&`, where juxtaposition is
+an implicit `&`; all three associate to the left. Projection
+(`F1.object`) is a postfix on an operand, and parentheses override.
+Declarations end at a dot that is not glued on both sides (glued dots
+belong to projections).
 
 The `<=n` / `>=n` forms are context-sensitive by design: followed by a
 description they are cardinality modifiers (`<register_for: >=3 Class>`);
@@ -10,6 +20,11 @@ followed by the closing delimiter they are one-sided interval regions
 (`<age: >=20>`); and in region context (after `::`, inside `[...]`, or as
 the filler of the reserved relation `has_value_in`) a trailing identifier
 is a unit (`<has_value_in: <=5 Sec>`).
+
+The token lists are never written. A slot colon glued to a nested slot
+(`<a:<b: X>>`) lexes as one `:<` token; the parser takes its ':' and
+reads the rest as '<' (`_Parser.split`), so the quality-form probe in
+`_parse_body` can back off and read the same tokens again.
 """
 from __future__ import annotations
 
@@ -34,7 +49,7 @@ from desiree.syntax.lexer import (
     SYM,
     VAR,
     LexError,
-    Token,
+    Tokens,
     tokenize,
 )
 
@@ -191,177 +206,213 @@ class ModelFileAst:
 # Parser.
 
 
-_DESC_START_SYMS = ("<", "{", "(", "[", "<=", ">=", "::")
+# Binding power of each binary operator and the node it builds; all three
+# associate to the left. Juxtaposition binds like `&`.
+_BINARY = {"-": 1, "|": 2, "&": 3}
+_AND = _BINARY["&"]
+_NODES = (None, ast.Diff, ast.Or, ast.And)
+
+# What a description can start with, besides a percent region like 80%.
+_DESC_START_KINDS = frozenset((IDENT, VAR, STRING))
+_DESC_START_SYMS = frozenset(("<", "{", "(", "[", "<=", ">=", "::"))
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], allow_var: bool = False):
+    def __init__(self, tokens: Tokens, allow_var: bool = False):
         self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.end = len(tokens.kinds) - 1  # the EOF token
         self.pos = 0
         self.allow_var = allow_var
         self.depth = 0  # open parentheses and slot fillers
+        # The `:<` token whose ':' a slot has taken; it reads as '<'.
+        self.split = -1
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    def span(self, i: int) -> Span:
+        return self.tokens.span(i, 1 if i == self.split else 0)
 
-    def peek(self, k: int = 1) -> Token:
-        j = min(self.pos + k, len(self.tokens) - 1)
-        return self.tokens[j]
+    def text(self, i: int) -> str:
+        return "<" if i == self.split else self.texts[i]
 
-    def advance(self) -> Token:
-        tok = self.cur
-        if tok.kind != EOF:
+    def advance(self) -> int:
+        """Move past the current token, unless it is EOF; return its index."""
+        i = self.pos
+        if i < self.end:
+            self.pos = i + 1
+        return i
+
+    def accept(self, s: str) -> bool:
+        """Take the current token if it is the symbol s."""
+        if self.texts[self.pos] == s:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def expect_sym(self, s: str) -> Token:
-        if not self.cur.is_sym(s):
-            raise ParseError(self.cur.span, f"expected {s!r}, found {self.cur.text!r}")
-        return self.advance()
+    def error(self, what: str) -> ParseError:
+        i = self.pos
+        return ParseError(self.span(i), f"expected {what}, found {self.text(i)!r}")
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        if self.cur.kind != IDENT:
-            raise ParseError(self.cur.span, f"expected {what}, found {self.cur.text!r}")
-        return self.advance()
+    def expect_sym(self, s: str) -> int:
+        i = self.pos
+        if self.texts[i] != s:
+            raise self.error(repr(s))
+        self.pos = i + 1
+        return i
+
+    def expect_ident(self, what: str = "identifier") -> str:
+        i = self.pos
+        if self.kinds[i] != IDENT:
+            raise self.error(what)
+        self.pos = i + 1
+        return self.texts[i]
 
     def at_desc_start(self) -> bool:
-        tok = self.cur
-        if tok.kind in (IDENT, VAR, STRING):
-            return True
-        if self._at_percent_number():
-            return True  # a bare percent region like 80%
-        return tok.kind == SYM and tok.text in _DESC_START_SYMS
+        i = self.pos
+        return (self.kinds[i] in _DESC_START_KINDS
+                or self.texts[i] in _DESC_START_SYMS
+                or self._at_percent_number())
 
     def _at_percent_number(self) -> bool:
         # 80%, or the exact-fraction form 100/3%
-        if self.cur.kind != NUMBER:
+        i = self.pos
+        if self.kinds[i] != NUMBER:
             return False
-        if self.peek().is_sym("%"):
+        texts = self.texts
+        if texts[i + 1] == "%":
             return True
-        return (self.peek().is_sym("/") and self.peek(2).kind == NUMBER
-                and self.peek(3).is_sym("%"))
+        return (texts[i + 1] == "/" and self.kinds[i + 2] == NUMBER
+                and texts[i + 3] == "%")
 
-    # Accept a ':' where the source may glue it to a following '<'
-    # (the lexer max-munches ':<'); splits the token when needed.
     def expect_colon(self) -> None:
-        if self.cur.is_sym(":"):
-            self.advance()
-            return
-        if self.cur.is_sym(":<"):
-            span = self.cur.span
-            self.tokens[self.pos] = Token(SYM, "<", Span(span.line, span.col + 1),
-                                          glued_right=self.cur.glued_right)
-            return
-        raise ParseError(self.cur.span, f"expected ':', found {self.cur.text!r}")
+        """Take a slot's ':'. The lexer reads the ':<' of `<a:<b: X>>` as
+        one token; then only its ':' is taken, and the token reads as '<'
+        from here on (`split`). The token lists are never written, so a
+        parse that backs off reads the same tokens again."""
+        i = self.pos
+        text = self.texts[i]
+        if text == ":":
+            self.pos = i + 1
+        elif text == ":<":
+            self.split = i
+        else:
+            raise self.error("':'")
 
     # -- numbers -----------------------------------------------------------
 
     def parse_number(self) -> Fraction:
-        if self.cur.kind != NUMBER:
-            if self.cur.kind == IDENT and self.peek().is_sym("("):
-                raise ParseError(self.cur.span,
+        i = self.pos
+        if self.kinds[i] != NUMBER:
+            if self.kinds[i] == IDENT and self.texts[i + 1] == "(":
+                raise ParseError(self.span(i),
                                  "computed bounds are not supported; use a numeric literal",
                                  code=E_NOT_SUPPORTED)
-            raise ParseError(self.cur.span, f"expected number, found {self.cur.text!r}")
-        num = self.advance().value
-        if self.cur.is_sym("/") and self.peek().kind == NUMBER:
-            self.advance()
-            den = self.advance().value
+            raise self.error("number")
+        num = self.tokens.value(i)
+        if self.texts[i + 1] == "/" and self.kinds[i + 2] == NUMBER:
+            self.pos = i + 3
+            den = self.tokens.value(i + 2)
             if den == 0:
-                raise ParseError(self.cur.span, "zero denominator")
-            num = num / den
+                raise ParseError(self.span(i + 3), "zero denominator")
+            return num / den
+        self.pos = i + 1
         return num
 
     def parse_pct(self) -> Fraction:
-        span = self.cur.span
+        i = self.pos
         num = self.parse_number()
         self.expect_sym("%")
         pct = num / 100
         if pct < 0 or pct > 1:
-            raise ParseError(span, f"percentage {num}% out of [0%, 100%]")
+            raise ParseError(self.span(i), f"percentage {num}% out of [0%, 100%]")
         return pct
+
+    def _int_modifier(self, cls, n: Fraction, i: int, minimum: int):
+        if n.denominator != 1 or n < minimum:
+            raise ParseError(self.span(i),
+                             f"cardinality bound must be an integer >= {minimum}")
+        return cls(int(n))
 
     # -- regions -----------------------------------------------------------
 
     def parse_unit(self, bare_ok: bool) -> str | None:
         """Optional unit: parenthesized `(Sec.)` anywhere, bare ident in region context."""
-        if self.cur.is_sym("("):
-            self.advance()
-            name = self.expect_ident("unit").text
-            if self.cur.is_sym("."):
-                self.advance()
+        if self.accept("("):
+            name = self.expect_ident("unit")
+            self.accept(".")
             self.expect_sym(")")
             return name
-        if bare_ok and self.cur.kind == IDENT:
-            name = self.advance().text
-            if self.cur.is_sym(".") and self.peek().is_sym("]"):
-                self.advance()
-            return name
+        i = self.pos
+        if bare_ok and self.kinds[i] == IDENT:
+            self.pos = i + 1
+            if self.texts[i + 1] == "." and self.texts[i + 2] == "]":
+                self.pos = i + 2
+            return self.texts[i]
         return None
 
     def parse_bracket_region(self) -> ast.RegionExpr:
         """`[lo, hi]`, `[lo, hi (Unit)]`, or `[lo%, hi%]`."""
-        span = self.cur.span
-        self.expect_sym("[")
+        start = self.expect_sym("[")
         lo = self.parse_number()
-        lo_pct = self.cur.is_sym("%")
-        if lo_pct:
-            self.advance()
+        lo_pct = self.accept("%")
         self.expect_sym(",")
         hi = self.parse_number()
-        hi_pct = self.cur.is_sym("%")
-        if hi_pct:
-            self.advance()
+        hi_pct = self.accept("%")
         if lo_pct != hi_pct:
-            raise ParseError(span, "percent interval needs '%' on both bounds")
+            raise ParseError(self.span(start), "percent interval needs '%' on both bounds")
         if lo_pct:
             self.expect_sym("]")
             lo, hi = lo / 100, hi / 100
             if not (0 <= lo <= hi <= 1):
-                raise ParseError(span, "percent interval out of [0%, 100%] or reversed")
+                raise ParseError(self.span(start),
+                                 "percent interval out of [0%, 100%] or reversed")
             return ast.Percent(lo, hi)
         unit = self.parse_unit(bare_ok=True)
         self.expect_sym("]")
         if lo > hi:
-            raise ParseError(span, f"interval bounds reversed: [{lo}, {hi}]")
+            raise ParseError(self.span(start), f"interval bounds reversed: [{lo}, {hi}]")
         return ast.Interval(lo, hi, _trim_unit(unit))
 
     def parse_region(self) -> ast.RegionExpr:
         """A region in region context (QGC `::` tail, has_value_in filler)."""
-        tok = self.cur
-        if tok.is_sym("["):
+        i = self.pos
+        kind, text = self.kinds[i], self.texts[i]
+        if text == "[":
             return self.parse_bracket_region()
-        if tok.is_sym("{"):
-            self.advance()
+        if text == "{":
+            self.pos = i + 1
             values = [self._value_literal()]
-            while self.cur.is_sym(","):
-                self.advance()
+            while self.accept(","):
                 values.append(self._value_literal())
             self.expect_sym("}")
             return ast.ValueSet(tuple(values))
-        if tok.is_sym("<=") or tok.is_sym(">=") or tok.kind == NUMBER:
+        if text in ("<=", ">=") or kind == NUMBER:
             return self._region_literal(bare_ok=True)
-        if tok.kind == IDENT:
-            return ast.Named(self.advance().text)
-        if tok.kind == STRING:
-            return ast.Named(self.advance().value)
-        raise ParseError(tok.span, f"expected region, found {tok.text!r}")
+        if kind == IDENT:
+            self.pos = i + 1
+            return ast.Named(text)
+        if kind == STRING:
+            self.pos = i + 1
+            return ast.Named(self.tokens.value(i))
+        raise self.error("region")
 
     def _region_literal(self, bare_ok: bool) -> ast.RegionExpr:
         """A one-sided region `<= n` / `>= n` with `%` or an optional
         unit, or a point percent `n%`. A bare unit name is read only
         where bare_ok (region context)."""
-        tok = self.cur
-        op = self.advance().text if tok.kind == SYM else None
+        i = self.pos
+        op = None
+        if self.kinds[i] == SYM:
+            op = self.texts[i]
+            self.pos = i + 1
         num = self.parse_number()
-        if op is None or self.cur.is_sym("%"):
+        if op is None or self.texts[self.pos] == "%":
             self.expect_sym("%")
             p = num / 100
             if not 0 <= p <= 1:
-                raise ParseError(tok.span, "percentage out of range")
+                raise ParseError(self.span(i), "percentage out of range")
             if op is None:
                 return ast.Percent(p, p)
             return ast.Percent(Fraction(0), p) if op == "<=" else ast.Percent(p, Fraction(1))
@@ -371,158 +422,153 @@ class _Parser:
         return ast.Interval(num, None, unit)
 
     def _value_literal(self) -> str:
-        if self.cur.kind == IDENT:
-            return self.advance().text
-        if self.cur.kind == NUMBER:
+        i = self.pos
+        if self.kinds[i] == IDENT:
+            self.pos = i + 1
+            return self.texts[i]
+        if self.kinds[i] == NUMBER:
             return str(self.parse_number())
-        raise ParseError(self.cur.span, f"expected value literal, found {self.cur.text!r}")
+        raise self.error("value literal")
 
     # -- descriptions ------------------------------------------------------
 
     def parse_description(self) -> ast.Description:
-        return self._diff()
+        return self._expr(1)
 
-    def _nested_description(self, span: Span) -> ast.Description:
-        """A description one nesting level down from the construct at span."""
+    def _nested_description(self, opened: int, shift: int) -> ast.Description:
+        """A description one nesting level down from the construct that
+        starts `shift` characters into token `opened`."""
         if self.depth == MAX_NESTING:
-            raise ParseError(span, f"nested more than {MAX_NESTING} levels deep",
+            raise ParseError(self.tokens.span(opened, shift),
+                             f"nested more than {MAX_NESTING} levels deep",
                              code=E_NESTING)
         self.depth += 1
         try:
-            return self._diff()
+            return self._expr(1)
         finally:
             self.depth -= 1
 
-    def _diff(self) -> ast.Description:
-        left = self._or()
-        region = _is_region_desc(left)
-        while self.cur.is_sym("-"):
-            op = self.advance()
-            right = self._or()
-            self._check_region_mix(region, right, op)
-            left = ast.Diff(left, right)
-        return left
-
-    def _or(self) -> ast.Description:
-        left = self._and()
-        region = _is_region_desc(left)
-        while self.cur.is_sym("|"):
-            op = self.advance()
-            right = self._and()
-            self._check_region_mix(region, right, op)
-            left = ast.Or(left, right)
-        return left
-
-    def _and(self) -> ast.Description:
-        left = self._postfix()
+    def _expr(self, min_bp: int) -> ast.Description:
+        """Operands joined by binary operators that bind at least as
+        tightly as min_bp, by precedence climbing."""
+        left = self._operand()
         region = _is_region_desc(left)
         while True:
-            # juxtaposition has no operator: the right operand's first
-            # token stands for it
-            op = self.cur
-            if op.is_sym("&"):
-                self.advance()
-            elif not self.at_desc_start():
-                break
-            right = self._postfix()
-            self._check_region_mix(region, right, op)
-            left = ast.And(left, right)
-        return left
+            op = self.pos
+            bp = _BINARY.get(self.texts[op])
+            if bp is None:
+                # juxtaposition has no operator: the right operand's
+                # first token stands for it
+                if not self.at_desc_start():
+                    return left
+                bp = _AND
+            elif bp < min_bp:
+                return left
+            else:
+                self.pos = op + 1
+            right = self._operand() if bp == _AND else self._expr(bp + 1)
+            if _is_region_desc(right) != region:
+                raise ParseError(self.span(op), "cannot combine a region with a concept")
+            left = _NODES[bp](left, right)
 
-    def _postfix(self) -> ast.Description:
-        node = self._primary()
-        while (self.cur.is_sym(".") and self.cur.glued_left and self.cur.glued_right
-               and self.peek().kind == IDENT):
-            self.advance()
-            slot = self.advance().text
-            node = ast.Proj(node, slot)
-        return node
-
-    def _primary(self) -> ast.Description:
-        tok = self.cur
-        if tok.kind == IDENT:
-            return ast.Atom(self.advance().text)
-        if tok.kind == VAR:
+    def _operand(self) -> ast.Description:
+        """A primary description and the projections after it."""
+        kinds, texts = self.kinds, self.texts
+        i = self.pos
+        kind, text = kinds[i], texts[i]
+        if kind == IDENT:
+            self.pos = i + 1
+            node = ast.Atom(text)
+        elif text == "<" or i == self.split:
+            node = self._slot()
+        elif kind == VAR:
             if not self.allow_var:
-                raise ParseError(tok.span, "variables are only allowed in "
-                                           "de-universalization arguments")
-            return ast.Var(self.advance().value)
-        if tok.is_sym("<"):
-            return self._slot()
-        if tok.is_sym("{"):
-            self.advance()
-            members = [self.expect_ident("individual").text]
-            while self.cur.is_sym(","):
-                self.advance()
-                members.append(self.expect_ident("individual").text)
+                raise ParseError(self.span(i), "variables are only allowed in "
+                                               "de-universalization arguments")
+            self.pos = i + 1
+            node = ast.Var(self.tokens.value(i))
+        elif text == "{":
+            self.pos = i + 1
+            members = [self.expect_ident("individual")]
+            while self.accept(","):
+                members.append(self.expect_ident("individual"))
             self.expect_sym("}")
             if len(set(members)) != len(members):
-                raise ParseError(tok.span, "duplicate enumeration member")
-            return ast.Enum(tuple(members))
-        if tok.is_sym("("):
-            self.advance()
-            inner = self._nested_description(tok.span)
+                raise ParseError(self.span(i), "duplicate enumeration member")
+            node = ast.Enum(tuple(members))
+        elif text == "(":
+            self.pos = i + 1
+            node = self._nested_description(i, 0)
             self.expect_sym(")")
-            return inner
-        if tok.is_sym("["):
-            return ast.Region(self.parse_bracket_region())
-        if tok.is_sym("<=") or tok.is_sym(">=") or self._at_percent_number():
+        elif text == "[":
+            node = ast.Region(self.parse_bracket_region())
+        elif text in ("<=", ">=") or self._at_percent_number():
             # A region literal in plain description position (no bare units).
-            return ast.Region(self._region_literal(bare_ok=False))
-        if tok.kind == STRING:
+            node = ast.Region(self._region_literal(bare_ok=False))
+        elif kind == STRING:
             # A quoted name in description position is a named region;
             # bare identifiers stay concept atoms.
-            return ast.Region(ast.Named(self.advance().value))
-        if tok.is_sym("::"):
+            self.pos = i + 1
+            node = ast.Region(ast.Named(self.tokens.value(i)))
+        elif text == "::":
             # `:: R` reads R in region context, so `:: {3, Mon}` is a
             # value set where `{3, Mon}` would be an enumeration.
-            self.advance()
-            return ast.Region(self.parse_region())
-        raise ParseError(tok.span, f"expected description, found {tok.text!r}")
+            self.pos = i + 1
+            node = ast.Region(self.parse_region())
+        else:
+            raise self.error("description")
+        i = self.pos
+        while (texts[i] == "." and kinds[i + 1] == IDENT
+               and self.tokens.glued(i) == (True, True)):
+            node = ast.Proj(node, texts[i + 1])
+            i += 2
+        self.pos = i
+        return node
 
     def _slot(self) -> ast.Description:
-        open_span = self.cur.span
-        self.expect_sym("<")
-        slot = self.expect_ident("slot name").text
+        opened = self.pos
+        shift = 1 if opened == self.split else 0  # a split ':<' opens at its '<'
+        self.pos = opened + 1
+        slot = self.expect_ident("slot name")
         self.expect_colon()
         region_ctx = slot in REGION_SLOTS
         modifier: ast.CardModifier = ast.ExactlyOne()
         filler: ast.Description | None = None
 
-        tok = self.cur
-        if tok.kind == IDENT and tok.text in ("SOME", "ONLY"):
-            self.advance()
-            modifier = ast.Some() if tok.text == "SOME" else ast.Only()
-        elif tok.is_sym("=") and self.peek().kind == NUMBER:
-            self.advance()
+        i = self.pos
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == IDENT and text in ("SOME", "ONLY"):
+            self.pos = i + 1
+            modifier = ast.Some() if text == "SOME" else ast.Only()
+        elif text == "=" and self.kinds[i + 1] == NUMBER:
+            self.pos = i + 1
             n = self.parse_number()
-            modifier = _int_modifier(ast.Exactly, n, tok.span, minimum=1)
-        elif tok.is_sym("=") and self.peek().kind == IDENT and self.peek(2).is_sym("("):
-            raise ParseError(self.peek().span,
+            modifier = self._int_modifier(ast.Exactly, n, i, minimum=1)
+        elif text == "=" and self.kinds[i + 1] == IDENT and self.texts[i + 2] == "(":
+            raise ParseError(self.span(i + 1),
                              "computed bounds are not supported; use a numeric literal",
                              code=E_NOT_SUPPORTED)
-        elif tok.is_sym("<=") or tok.is_sym(">="):
-            start = self.pos
-            self.advance()
+        elif text in ("<=", ">="):
+            self.pos = i + 1
             num = self.parse_number()
             if (not region_ctx and self.at_desc_start()
                     and not self._at_unit_then_close()):
-                cls = ast.AtMost if tok.text == "<=" else ast.AtLeast
-                modifier = _int_modifier(cls, num, tok.span,
-                                         minimum=0 if tok.text == "<=" else 1)
+                cls = ast.AtMost if text == "<=" else ast.AtLeast
+                modifier = self._int_modifier(cls, num, i,
+                                              minimum=0 if text == "<=" else 1)
             else:
                 # not a cardinality bound: read it again as a region
-                self.pos = start
+                self.pos = i
                 filler = ast.Region(self._region_literal(bare_ok=region_ctx))
 
         if filler is None:
             if region_ctx:
                 filler = ast.Region(self.parse_region())
             else:
-                filler = self._nested_description(open_span)
-        if not self.cur.is_sym(">"):
-            raise ParseError(open_span, f"slot <{slot}: ...> is not closed")
-        self.advance()
+                filler = self._nested_description(opened, shift)
+        if not self.accept(">"):
+            raise ParseError(self.tokens.span(opened, shift),
+                             f"slot <{slot}: ...> is not closed")
         return ast.Slot(slot, modifier, filler)
 
     def _at_unit_then_close(self) -> bool:
@@ -533,36 +579,25 @@ class _Parser:
         parenthesized single atom in that position reads as a unit, which
         the canonical renderer never emits.
         """
-        if not self.cur.is_sym("("):
+        texts = self.texts
+        i = self.pos
+        if texts[i] != "(" or self.kinds[i + 1] != IDENT:
             return False
-        j = 1
-        if self.peek(j).kind != IDENT:
-            return False
-        j += 1
-        if self.peek(j).is_sym("."):
+        j = i + 2
+        if texts[j] == ".":
             j += 1
-        if not self.peek(j).is_sym(")"):
-            return False
-        return self.peek(j + 1).is_sym(">")
+        return texts[j] == ")" and texts[j + 1] == ">"
 
-    @staticmethod
-    def _check_region_mix(region: bool, right: ast.Description,
-                          op: Token) -> None:
-        if region != _is_region_desc(right):
-            raise ParseError(op.span, "cannot combine a region with a concept")
-
-
-def _int_modifier(cls, n: Fraction, span: Span, minimum: int):
-    if n.denominator != 1 or n < minimum:
-        raise ParseError(span, f"cardinality bound must be an integer >= {minimum}")
-    return cls(int(n))
+    def at_decl_dot(self) -> bool:
+        """At a dot that ends a declaration: one not glued on both sides."""
+        i = self.pos
+        return self.texts[i] == "." and self.tokens.glued(i) != (True, True)
 
 
 def _is_region_desc(d: ast.Description) -> bool:
-    # The parser joins only operands that agree (_check_region_mix), so
-    # every And/Or/Diff it builds is a region exactly when its right
-    # operand is. The right spine of a chain is short: chains nest to the
-    # left.
+    # The parser joins only operands that agree, so every And/Or/Diff it
+    # builds is a region exactly when its right operand is. The right
+    # spine of a chain is short: chains nest to the left.
     while isinstance(d, (ast.And, ast.Or, ast.Diff)):
         d = d.right
     return isinstance(d, ast.Region)
@@ -578,13 +613,14 @@ def _trim_unit(unit: str | None) -> str | None:
 # Public entry points.
 
 
-def parse_description(source: str | list[Token], allow_var: bool = False) -> ast.Description:
-    """Parse a single description; raises ParseError / LexError."""
-    tokens = tokenize(source) if isinstance(source, str) else list(source)
+def parse_description(source: str | Tokens, allow_var: bool = False) -> ast.Description:
+    """Parse a single description, given as text or as `tokenize(text)`;
+    raises ParseError / LexError."""
+    tokens = tokenize(source) if isinstance(source, str) else source
     p = _Parser(tokens, allow_var=allow_var)
     d = p.parse_description()
-    if p.cur.kind != EOF:
-        raise ParseError(p.cur.span, f"unexpected trailing input: {p.cur.text!r}")
+    if p.kinds[p.pos] != EOF:
+        raise ParseError(p.span(p.pos), f"unexpected trailing input: {p.text(p.pos)!r}")
     return d
 
 
@@ -599,7 +635,7 @@ def parse_model_file(text: str) -> ModelFileAst:
         return out
     p = _Parser(tokens)
     seen_ids: dict[str, Span] = {}
-    while p.cur.kind != EOF:
+    while p.kinds[p.pos] != EOF:
         start = p.pos
         try:
             decl = _parse_declaration(p)
@@ -623,132 +659,132 @@ def _recover(p: _Parser, start: int) -> None:
     """Skip past the next declaration-terminating dot."""
     if p.pos == start:
         p.advance()
-    while p.cur.kind != EOF:
-        tok = p.advance()
-        if tok.is_sym(".") and not (tok.glued_left and tok.glued_right):
+    while p.kinds[p.pos] != EOF:
+        dot = p.at_decl_dot()
+        p.advance()
+        if dot:
             return
 
 
 def _expect_decl_dot(p: _Parser) -> None:
-    tok = p.cur
-    if tok.is_sym(".") and not (tok.glued_left and tok.glued_right):
-        p.advance()
-        return
-    raise ParseError(tok.span, f"expected '.' to end the declaration, found {tok.text!r}")
+    if not p.at_decl_dot():
+        raise p.error("'.' to end the declaration")
+    p.pos += 1
 
 
 def _parse_declaration(p: _Parser) -> Declaration:
-    tok = p.cur
-    if tok.kind != IDENT:
-        raise ParseError(tok.span, f"expected declaration, found {tok.text!r}")
-    word = tok.text
+    i = p.pos
+    if p.kinds[i] != IDENT:
+        raise p.error("declaration")
+    word = p.texts[i]
     if word in ELEMENT_KINDS:
         return _parse_element(p)
+    if word in OPERATOR_NAMES:
+        return _parse_application(p)
     if word == "axiom":
-        span = p.advance().span
+        p.pos = i + 1
         lhs = p.parse_description()
         p.expect_sym(":<")
         rhs = p.parse_description()
         _expect_decl_dot(p)
-        return AxiomDecl(lhs, rhs, span)
+        return AxiomDecl(lhs, rhs, p.span(i))
     if word == "disjoint":
-        span = p.advance().span
+        p.pos = i + 1
         left = p.parse_description()
         p.expect_sym(",")
         right = p.parse_description()
         _expect_decl_dot(p)
-        return DisjointDecl(left, right, span)
+        return DisjointDecl(left, right, p.span(i))
     if word in ("dimension", "part"):
-        span = p.advance().span
-        child = p.expect_ident().text
-        kw = p.expect_ident("'of'")
-        if kw.text != "of":
-            raise ParseError(kw.span, f"expected 'of', found {kw.text!r}")
-        parent = p.expect_ident().text
+        p.pos = i + 1
+        child = p.expect_ident()
+        j = p.pos
+        if p.expect_ident("'of'") != "of":
+            raise ParseError(p.span(j), f"expected 'of', found {p.texts[j]!r}")
+        parent = p.expect_ident()
         _expect_decl_dot(p)
-        return HierarchyDecl(word, child, parent, span)
+        return HierarchyDecl(word, child, parent, p.span(i))
     if word == "factor":
-        span = p.advance().span
-        name = p.expect_ident("factor name").text
+        p.pos = i + 1
+        name = p.expect_ident("factor name")
+        j = p.pos
         direction = p.expect_ident("'strengthens' or 'weakens'")
-        if direction.text not in ("strengthens", "weakens"):
-            raise ParseError(direction.span,
-                             f"expected 'strengthens' or 'weakens', found {direction.text!r}")
+        if direction not in ("strengthens", "weakens"):
+            raise ParseError(p.span(j),
+                             f"expected 'strengthens' or 'weakens', found {direction!r}")
         _expect_decl_dot(p)
-        return FactorDecl(name, direction.text, span)
+        return FactorDecl(name, direction, p.span(i))
     if word == "conflict":
-        span = p.advance().span
+        p.pos = i + 1
         p.expect_sym("{")
-        ids = [p.expect_ident().text]
-        while p.cur.is_sym(","):
-            p.advance()
-            ids.append(p.expect_ident().text)
+        ids = [p.expect_ident()]
+        while p.accept(","):
+            ids.append(p.expect_ident())
         p.expect_sym("}")
         _expect_decl_dot(p)
-        return ConflictDecl(tuple(ids), span)
-    if word in OPERATOR_NAMES:
-        return _parse_application(p)
-    raise ParseError(tok.span, f"unknown declaration keyword {word!r}")
+        return ConflictDecl(tuple(ids), p.span(i))
+    raise ParseError(p.span(i), f"unknown declaration keyword {word!r}")
 
 
 def _parse_element(p: _Parser) -> ElementDecl:
-    kind_tok = p.advance()
-    ident = p.expect_ident("element identifier").text
+    i = p.advance()
+    ident = p.expect_ident("element identifier")
     p.expect_sym("=")
     body = _parse_body(p)
     _expect_decl_dot(p)
-    return ElementDecl(kind_tok.text, ident, body, kind_tok.span)
+    return ElementDecl(p.texts[i], ident, body, p.span(i))
 
 
 def _parse_body(p: _Parser) -> Body:
-    if p.cur.kind == STRING:
-        return NLBody(p.advance().value)
+    i = p.pos
+    if p.kinds[i] == STRING:
+        p.pos = i + 1
+        return NLBody(p.tokens.value(i))
     # Quality form: IDENT '(' subject ')' '::' region [<observed_by: D>].
-    if p.cur.kind == IDENT and p.peek().is_sym("("):
-        snapshot = p.pos
-        quality = p.advance().text
-        p.advance()  # '('
+    # Anything else is read again from the start as a description.
+    if p.kinds[i] == IDENT and p.texts[i + 1] == "(":
+        p.pos = i + 2
         try:
             subject = p.parse_description()
-            if not p.cur.is_sym(")") or not p.peek().is_sym("::"):
-                raise ParseError(p.cur.span, "not a quality form")
         except ParseError:
-            p.pos = snapshot
-        else:
-            p.advance()  # ')'
-            p.advance()  # '::'
+            subject = None
+        if subject is not None and p.texts[p.pos] == ")" and p.texts[p.pos + 1] == "::":
+            p.pos += 2
             region = p.parse_region()
             observer = None
-            if p.cur.is_sym("<") and p.peek().kind == IDENT \
-                    and p.peek().text == "observed_by":
-                p.advance()
-                p.advance()
+            j = p.pos
+            if p.texts[j] == "<" and p.texts[j + 1] == "observed_by":
+                p.pos = j + 2
                 p.expect_colon()
                 observer = p.parse_description()
                 p.expect_sym(">")
-            return QualityBody(quality, subject, region, observer)
+            return QualityBody(p.texts[i], subject, region, observer)
+        p.pos = i
+        p.split = -1
     lhs = p.parse_description()
-    if p.cur.is_sym(":<"):
-        p.advance()
-        rhs = p.parse_description()
-        return SubsumptionBody(lhs, rhs)
+    if p.accept(":<"):
+        return SubsumptionBody(lhs, p.parse_description())
     return DescBody(lhs)
 
 
 def _parse_application(p: _Parser) -> ApplicationDecl:
-    op_tok = p.advance()
-    op = op_tok.text
+    i = p.advance()
+    op = p.texts[i]
     p.expect_sym("(")
     inputs: list[str] = []
     args: AppArgs = None
 
     if op == "deuniversalize":
-        if p.cur.kind != VAR:
-            raise ParseError(p.cur.span, "deuniversalize expects a ?variable first")
-        var = p.advance().value
+        j = p.pos
+        if p.kinds[j] != VAR:
+            raise ParseError(p.span(j), "deuniversalize expects a ?variable first")
+        p.pos = j + 1
+        var = p.tokens.value(j)
         p.expect_sym(",")
-        inputs.append(p.expect_ident("input element").text)
+        inputs.append(p.expect_ident("input element"))
         p.expect_sym(",")
+        # A parser of its own, so a ParseError in the pattern leaves p
+        # where the pattern starts, as recovery expects.
         sub = _Parser(p.tokens, allow_var=True)
         sub.pos = p.pos
         pattern = sub.parse_description()
@@ -757,52 +793,48 @@ def _parse_application(p: _Parser) -> ApplicationDecl:
         pct = p.parse_pct()
         args = DeUniversalizeSyntax(var, pattern, pct)
     elif op == "observe":
-        inputs.append(p.expect_ident("input element").text)
+        inputs.append(p.expect_ident("input element"))
         p.expect_sym(",")
         args = ObserveSyntax(p.parse_description())
     elif op == "focus":
-        inputs.append(p.expect_ident("input element").text)
+        inputs.append(p.expect_ident("input element"))
         p.expect_sym(",")
         p.expect_sym("{")
-        targets = [p.expect_ident("focus target").text]
-        while p.cur.is_sym(","):
-            p.advance()
-            targets.append(p.expect_ident("focus target").text)
+        targets = [p.expect_ident("focus target")]
+        while p.accept(","):
+            targets.append(p.expect_ident("focus target"))
         p.expect_sym("}")
         args = FocusTargets(tuple(targets))
     elif op in ("scaleup", "scaledown"):
-        inputs.append(p.expect_ident("input element").text)
+        inputs.append(p.expect_ident("input element"))
         p.expect_sym(",")
-        if p.cur.is_sym("("):
-            p.advance()
+        if p.accept("("):
             f_lo = p.parse_number()
             p.expect_sym(",")
             f_hi = p.parse_number()
             p.expect_sym(")")
             args = ScaleQuantitative(f_lo, f_hi)
         else:
-            args = ScaleQualitative(p.expect_ident("scale factor").text)
+            args = ScaleQualitative(p.expect_ident("scale factor"))
     else:  # reduce / interpret / operationalize / resolve
-        inputs.append(p.expect_ident("input element").text)
-        while p.cur.is_sym(","):
-            p.advance()
-            inputs.append(p.expect_ident("input element").text)
+        inputs.append(p.expect_ident("input element"))
+        while p.accept(","):
+            inputs.append(p.expect_ident("input element"))
 
     p.expect_sym(")")
     p.expect_sym("[")
+    j = p.pos
     tag = p.expect_ident("strength tag")
-    if tag.text not in STRENGTH_TAGS:
-        raise ParseError(tag.span, f"expected strength tag s|w|e, found {tag.text!r}")
+    if tag not in STRENGTH_TAGS:
+        raise ParseError(p.span(j), f"expected strength tag s|w|e, found {tag!r}")
     p.expect_sym("]")
     p.expect_sym("=")
     p.expect_sym("{")
     outputs: list[str] = []
-    if p.cur.kind == IDENT:
-        outputs.append(p.advance().text)
-        while p.cur.is_sym(","):
-            p.advance()
-            outputs.append(p.expect_ident("output element").text)
+    if p.kinds[p.pos] == IDENT:
+        outputs.append(p.expect_ident())
+        while p.accept(","):
+            outputs.append(p.expect_ident("output element"))
     p.expect_sym("}")
     _expect_decl_dot(p)
-    return ApplicationDecl(op, tuple(inputs), args, tag.text, tuple(outputs),
-                           op_tok.span)
+    return ApplicationDecl(op, tuple(inputs), args, tag, tuple(outputs), p.span(i))

@@ -136,6 +136,17 @@ def test_deep_input_exit_status(capsys, tmp_path, name):
         f"error: E-PARSE-003 1:{col} nested more than 64 levels deep\n")
 
 
+def test_glued_slot_colon_after_a_failed_quality_probe(capsys, tmp_path):
+    # `A (` opens the quality-form probe, which reads the glued `:<` as a
+    # colon and a nested slot; backing off must leave it to be read again.
+    f = tmp_path / "glued.dsr"
+    f.write_text("goal G1 = A (<object:<actor: B>>).\n")
+    assert run(capsys, "check", str(f)) == (
+        0, "0 errors, 0 warnings, 0 inconsistencies\n", "")
+    assert run(capsys, "fmt", str(f)) == (
+        0, "goal G1 = A <object: <actor: B>>.\n", "")
+
+
 def test_long_axiom_chain_is_searched(capsys, tmp_path):
     # the search's axiom index walks each left side without recursion
     text, _status = DEEP_INPUTS["3000-term chain on an axiom's left side"]
