@@ -14,10 +14,13 @@ it prints. It runs, in-process through `desiree.cli.main`:
   element ids.
 
 It prints the number of commands and one sha256 over the
-(argv, exit status, stdout, stderr) of each, in order. Every model path
-is written relative to the checkout root when it lies inside it, else as
-its file name alone, so the digest does not depend on where the checkout
-lies or on the directory the script runs from. Run from anywhere:
+(argv, exit status, stdout, stderr) of each, in order. A second line
+does the same for the normal-form cap: `check --json` on every model
+path and `entail --json` on every ordered pair of each corpus file, each
+under `--max-dnf 1`, `2` and `3`. Every model path is written relative
+to the checkout root when it lies inside it, else as its file name
+alone, so the digests do not depend on where the checkout lies or on
+the directory the script runs from. Run from anywhere:
 
     python3 benchmarks/golden_outputs.py [EXTRA.dsr ...]
 
@@ -46,6 +49,7 @@ CORPORA = [CORPUS_DIR / "meeting_scheduler.dsr",
            CORPUS_DIR / "meeting_scheduler_clean.dsr"]
 MODEL_COMMANDS = [["check"], ["check", "--json"], ["stats", "--json"],
                   ["export", "--format", "json"], ["fmt"]]
+MAX_DNF_CAPS = ("1", "2", "3")
 
 
 def shown(path: Path) -> str:
@@ -62,6 +66,12 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
+def pairs(path: Path):
+    """Every ordered pair of the model's element ids."""
+    ids = list(load_model(path.read_text(encoding="utf-8")).elements)
+    return [(a, b) for a in ids for b in ids]
+
+
 def commands(extra: list[Path]):
     """(model path, argv after the command name's file argument) pairs."""
     for path in CORPORA + extra:
@@ -71,24 +81,40 @@ def commands(extra: list[Path]):
         for query, _proved, _holds in CORPUS_QUERIES:
             yield path, ["query", str(path), query]
             yield path, ["query", str(path), query, "--lenient", "--json"]
-        ids = list(load_model(path.read_text(encoding="utf-8")).elements)
-        for a in ids:
-            for b in ids:
-                yield path, ["entail", str(path), a, b, "--json"]
+        for a, b in pairs(path):
+            yield path, ["entail", str(path), a, b, "--json"]
 
 
-def main(argv: list[str]) -> int:
-    extra = [Path(p) for p in argv]
-    digest = hashlib.sha256()
+def capped_commands(extra: list[Path]):
+    """The commands of the second line, one cap at a time."""
+    for cap in MAX_DNF_CAPS:
+        for path in CORPORA + extra:
+            yield path, ["check", str(path), "--json", "--max-dnf", cap]
+        for path in CORPORA:
+            for a, b in pairs(path):
+                yield path, ["entail", str(path), a, b, "--json",
+                             "--max-dnf", cap]
+
+
+def digest(cmds) -> str:
+    """'N commands sha256 H' over the outputs of (path, argv) commands."""
+    h = hashlib.sha256()
     count = 0
-    for path, cmd in commands(extra):
+    for path, cmd in cmds:
         status, out, err = run(cmd)
         full, rel = str(path), shown(path)
         record = [[rel if a == full else a for a in cmd], status,
                   out.replace(full, rel), err.replace(full, rel)]
-        digest.update(json.dumps(record).encode("utf-8") + b"\n")
+        h.update(json.dumps(record).encode("utf-8") + b"\n")
         count += 1
-    print(f"{count} commands sha256 {digest.hexdigest()}")
+    return f"{count} commands sha256 {h.hexdigest()}"
+
+
+def main(argv: list[str]) -> int:
+    extra = [Path(p) for p in argv]
+    print(digest(commands(extra)))
+    print(digest(capped_commands(extra)) + " under --max-dnf "
+          + ", ".join(MAX_DNF_CAPS))
     return 0
 
 

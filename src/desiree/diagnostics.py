@@ -5,7 +5,7 @@ identical inputs always print identical diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 # Severity levels.
@@ -58,12 +58,10 @@ class Diagnostic:
     code: str
     span: Span | None
     message: str
-    related: tuple[str, ...] = field(default_factory=tuple)
 
     def format(self) -> str:
         where = str(self.span) if self.span else "-"
-        rel = f" [{', '.join(self.related)}]" if self.related else ""
-        return f"{self.severity.lower()}: {self.code} {where} {self.message}{rel}"
+        return f"{self.severity.lower()}: {self.code} {where} {self.message}"
 
 
 def has_errors(diags: list[Diagnostic]) -> bool:

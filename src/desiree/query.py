@@ -285,7 +285,7 @@ def _eval_region_slot(g, d, ctx):
     for instance, declared in g.regions.items():
         if any(r == region for r in declared):
             sure.add(instance)
-        elif any(region_subset(r, region, ctx.region_edges)
+        elif any(region_subset(r, region, ctx.region_supers)
                  for r in declared):
             maybe.add(instance)
     return sure, maybe

@@ -67,7 +67,11 @@ def _harvest(sources):
 
 
 def _closure(seeds: dict[str, tuple[str, ...]], edges):
-    """Reachable superclasses with the rendered step list leading there."""
+    """Reachable superclasses with the rendered step list leading there.
+
+    Not the prover's `told` table, which would change the clashes: this
+    reads every active subsumption-form element, not only assumptions,
+    splits right sides with `and_parts` and labels each step."""
     reached = dict(seeds)
     queue = deque(seeds)
     while queue:

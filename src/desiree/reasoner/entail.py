@@ -154,7 +154,7 @@ def quality_entails(b1: QualityBody, b2: QualityBody,
             problems.append("observer")
     # An observer on b1 only restricts how the constraint is checked, not
     # what it claims, so it never blocks; b2-only asks for less anyway.
-    if not region_subset(b1.region, b2.region, ctx.region_edges):
+    if not region_subset(b1.region, b2.region, ctx.region_supers):
         if not problems and b1.observer == b2.observer:
             p = region_gap_point(b1.region, b2.region)
             if p is not None:

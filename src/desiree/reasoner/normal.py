@@ -7,6 +7,9 @@ filler-count ranges and ONLY constraints, projections, and opaque
 negative parts. Subsumption holds when every left conjunct lands inside
 some right conjunct, requirement by requirement.
 
+A context reads the told axioms once into two tables (ReasonerContext),
+which leave out told disjunctions.
+
 Everything here errs toward "not proven": a False answer never means
 disproved. Counterexamples are the oracle's job.
 """
@@ -40,11 +43,16 @@ def _side_name(d: ast.Description) -> str | None:
 class ReasonerContext:
     """Background theory plus caches shared across queries.
 
+    `told[a]` merges atom a's told right sides that normalise to one
+    conjunct (None if they contradict); a side with more disjuncts or
+    past `max_dnf` is left out, which only loses proofs.
+    `region_supers[n]` holds the names n is told to lie within.
+
     A context is built once per theory and kept as long as the theory
     does not change; its caches (the structural memo, the search index
     and its memo, the contexts made by `assuming`) live as long as it
     does. A context made by `assuming` is given its parent as `base` and
-    starts from the parent's tables, copying only the lists that the
+    starts from the parent's tables, replacing only the entries that the
     assumed axiom extends.
     """
 
@@ -57,22 +65,23 @@ class ReasonerContext:
     base: InitVar["ReasonerContext | None"] = None
 
     def __post_init__(self, base=None):
-        self.atom_axioms: dict[str, list[ast.Description]] = {}
-        self.region_edges: list[tuple[str, str]] = []
+        self.disjoint_pairs = {frozenset(p) for p in self.disjoints}
+        self.told: dict[str, Conjunct | None] = dict(base.told) if base else {}
+        self.region_supers = dict(base.region_supers) if base else {}
         for lhs, rhs in self.axioms[len(base.axioms) if base else 0:]:
-            if isinstance(lhs, ast.Atom) and _side_name(lhs):
-                self.atom_axioms.setdefault(lhs.name, []).append(rhs)
             n1, n2 = _side_name(lhs), _side_name(rhs)
             if n1 and n2:
-                self.region_edges.append((n1, n2))
-        if base is None:
-            self.disjoint_pairs = {frozenset(p) for p in self.disjoints}
-        else:
-            self.atom_axioms = base.atom_axioms | {
-                a: base.atom_axioms.get(a, []) + rhss
-                for a, rhss in self.atom_axioms.items()}
-            self.region_edges = base.region_edges + self.region_edges
-            self.disjoint_pairs = base.disjoint_pairs
+                self.region_supers[n1] = self.region_supers.get(n1, ()) + (n2,)
+            if not (n1 and isinstance(lhs, ast.Atom)):
+                continue
+            try:
+                nf = translate(rhs, self)
+            except (DnfOverflow, RecursionError):  # too large to normalise
+                continue
+            if len(nf) == 1 and n1 not in self.told:
+                self.told[n1] = nf[0]
+            elif len(nf) == 1 and self.told[n1] is not None:
+                self.told[n1] = _merge(self.told[n1], nf[0], self)
         self.memo: dict = {}
         # structural_subsumes' open queries (to their depth) and the
         # outermost depth whose cycle guard the current query has read
@@ -280,26 +289,16 @@ def _apply_neg(cs: list, r: ast.Description, ctx: ReasonerContext) -> list:
 
 
 def enrich(c: Conjunct, ctx: ReasonerContext) -> Conjunct | None:
-    """Fold axiom consequences for the conjunct's atoms into it."""
-    applied: set = set()
-    cur = c
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted(cur.atoms):
-            for i, rhs in enumerate(ctx.atom_axioms.get(a, ())):
-                if (a, i) in applied:
-                    continue
-                applied.add((a, i))
-                nf = translate(rhs, ctx)
-                if len(nf) != 1:
-                    continue  # disjunctive consequences don't merge in
-                m = _merge(cur, nf[0], ctx)
-                if m is None:
-                    return None
-                cur = m
-                changed = True
-    return cur
+    """Fold in the told consequences of the conjunct's atoms, and of the
+    atoms they bring in; None when that reaches bottom."""
+    done: set = set()
+    while todo := (c.atoms - done) & ctx.told.keys():
+        done |= todo
+        for a in todo:
+            t = ctx.told[a]
+            if t is None or (c := _merge(c, t, ctx)) is None:
+                return None
+    return c
 
 
 def structural_subsumes(
@@ -359,7 +358,7 @@ def _conj_leq(c: Conjunct, d: Conjunct, ctx: ReasonerContext) -> bool:
         if not any(e1 <= e2 for e1 in c.enums):
             return False
     for r2 in d.regions:
-        if not any(region_subset(r1, r2, ctx.region_edges)
+        if not any(region_subset(r1, r2, ctx.region_supers)
                    for r1 in c.regions):
             return False
     for s2, b2 in d.projs:

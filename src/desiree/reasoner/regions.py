@@ -13,7 +13,8 @@ point, the first probe in r1 and not in r2, replays by construction.
 
 Which pairs are compared at all:
 
-- a named region only through the declared region edges (named_closure);
+- a named region only through the context's `region_supers`
+  (named_closure); clash detection keeps its own closure (consistency);
 - a percentage only with another percentage;
 - two intervals only when they have the same unit;
 - a value set with another value set, or with an interval of any unit.
@@ -94,14 +95,13 @@ def build_grid(nums: set[Fraction], lits: set[str],
     return tuple(points)
 
 
-def named_closure(name: str, edges: list[tuple[str, str]]) -> frozenset[str]:
-    """All names reachable from name over sub-to-super edges."""
+def named_closure(name: str, supers: dict) -> frozenset[str]:
+    """All names reachable from name through supers (name -> names)."""
     seen = {name}
     frontier = [name]
     while frontier:
-        cur = frontier.pop()
-        for sub, sup in edges:
-            if sub == cur and sup not in seen:
+        for sup in supers.get(frontier.pop(), ()):
+            if sup not in seen:
                 seen.add(sup)
                 frontier.append(sup)
     return frozenset(seen)
@@ -143,13 +143,13 @@ def _compare(r1: ast.RegionExpr, r2: ast.RegionExpr):
 def region_subset(
     r1: ast.RegionExpr,
     r2: ast.RegionExpr,
-    region_edges: list[tuple[str, str]],
+    region_supers: dict[str, tuple[str, ...]],
 ) -> bool:
     """Whether r1 is provably contained in r2."""
     if r1 == r2:
         return True
     if isinstance(r1, ast.Named) and isinstance(r2, ast.Named):
-        return r2.name in named_closure(r1.name, region_edges)
+        return r2.name in named_closure(r1.name, region_supers)
     found = _compare(r1, r2)
     return found is not None and found[0] is None
 

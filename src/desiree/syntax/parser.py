@@ -783,12 +783,11 @@ def _parse_application(p: _Parser) -> ApplicationDecl:
         p.expect_sym(",")
         inputs.append(p.expect_ident("input element"))
         p.expect_sym(",")
-        # A parser of its own, so a ParseError in the pattern leaves p
-        # where the pattern starts, as recovery expects.
-        sub = _Parser(p.tokens, allow_var=True)
-        sub.pos = p.pos
-        pattern = sub.parse_description()
-        p.pos = sub.pos
+        p.allow_var = True
+        try:
+            pattern = p.parse_description()
+        finally:
+            p.allow_var = False
         p.expect_sym(",")
         pct = p.parse_pct()
         args = DeUniversalizeSyntax(var, pattern, pct)

@@ -116,6 +116,9 @@ DEEP_INPUTS = {
     "3000-term chain on an axiom's left side": (
         "axiom " + " & ".join(f"A{i}" for i in range(3000)) + " :< B.\n"
         "goal G1 = C.\ngoal G2 = D", 0),
+    "3000-term chain on a told right side": (
+        "axiom X :< " + " & ".join(f"A{i}" for i in range(3000)) + ".\n"
+        "goal G1 = C.\ngoal G2 = C D.\nreduce(G1) [s] = {G2}", 0),
 }
 
 

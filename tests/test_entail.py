@@ -13,7 +13,11 @@ from desiree.reasoner.entail import (
     function_refines,
     quality_entails,
 )
-from desiree.reasoner.normal import ReasonerContext, structural_subsumes
+from desiree.reasoner.normal import (
+    Conjunct,
+    ReasonerContext,
+    structural_subsumes,
+)
 from desiree.reasoner.oracle import (
     BoundsExceeded,
     oracle_disprove,
@@ -353,17 +357,21 @@ class TestAssuming:
         ax = (D("Search"), D("Fast_function"))
         child = ctx.assuming(ax)
         fresh = ReasonerContext(ctx.axioms + [ax], ctx.disjoints)
-        assert child.atom_axioms == fresh.atom_axioms
-        assert child.region_edges == fresh.region_edges
+        assert child.told == fresh.told
+        assert child.region_supers == fresh.region_supers
         assert child.disjoint_pairs == fresh.disjoint_pairs
-        # the parent is left as it was, and shares every list the
+        assert child.told["Search"] == Conjunct(
+            atoms={"Function", "Fast_function"})
+        assert child.region_supers["Search"] == ("Function", "Fast_function")
+        # the parent is left as it was, and shares every entry the
         # assumed axiom does not extend
-        assert ctx.atom_axioms == {"Advanced_search": [D("Search")],
-                                   "Search": [D("Function")]}
-        assert ctx.region_edges == [("Advanced_search", "Search"),
-                                    ("Search", "Function")]
-        assert (child.atom_axioms["Advanced_search"]
-                is ctx.atom_axioms["Advanced_search"])
+        assert ctx.told == {"Advanced_search": Conjunct(atoms={"Search"}),
+                            "Search": Conjunct(atoms={"Function"})}
+        assert ctx.region_supers == {"Advanced_search": ("Search",),
+                                     "Search": ("Function",)}
+        assert child.told["Advanced_search"] is ctx.told["Advanced_search"]
+        assert (child.region_supers["Advanced_search"]
+                is ctx.region_supers["Advanced_search"])
 
     def test_one_context_per_distinct_assumption(self, monkeypatch):
         ctx = ctx_with("Advanced_search :< Search")

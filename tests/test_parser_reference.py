@@ -4,12 +4,19 @@ replaced (`reference_parser.py`).
 On drawn descriptions and model files, rendered and then mutated token
 by token, both must give the same ASTs, the same ParseError code, span
 and message, and the same `parse_model_file` diagnostics after recovery.
-The one allowed difference is the reference's glued-colon fault: its
-quality-form probe re-reads a `:<` token it overwrote. Every input is
-also run through the reference with that fault mended
-(`_MendedParser`), which must agree with the new parser everywhere.
+Two differences are allowed, both faults of the reference:
+
+- its quality-form probe re-reads a `:<` token it overwrote (the glued
+  colon);
+- it reads a deuniversalize pattern with a parser of its own, so after a
+  ParseError in the pattern, recovery starts again at the pattern's
+  start.
+
+Every input is also run through the reference with both faults mended
+(`_MendedParser` and `_pattern_read_in_place`), which must agree with
+the new parser everywhere.
 """
-from contextlib import nullcontext
+from contextlib import ExitStack
 from fractions import Fraction
 from unittest import mock
 
@@ -28,6 +35,10 @@ from gen_strategies import descriptions, fractions, regions
 
 IDS = ("G1", "G2", "Q1", "F1")
 GLUED_PROBE = "goal G1 = A (<object:<actor: B>>).\n"
+# `parse_unit` takes the spaced dot, so a recovery that starts at the
+# pattern stops there
+PATTERN_ERROR = ("deuniversalize(?X, G1, <a: >=3 (Sec .)> <b: ]>, 5%) [s] = {}."
+                 "\nf F1 = A.\n")
 
 
 class _MendedParser(reference_parser._Parser):
@@ -56,6 +67,24 @@ class _MendedParser(reference_parser._Parser):
         super().expect_colon()
 
 
+_REFERENCE_APPLICATION = reference_parser._parse_application
+
+
+def _pattern_read_in_place(p):
+    """The reference's `_parse_application`, except that a deuniversalize
+    pattern is read by p itself, so a ParseError in the pattern leaves p
+    at the error for recovery."""
+    def the_same_parser(tokens, allow_var):
+        p.allow_var = allow_var
+        return p
+
+    try:
+        with mock.patch.object(reference_parser, "_Parser", the_same_parser):
+            return _REFERENCE_APPLICATION(p)
+    finally:
+        p.allow_var = False
+
+
 def _outcome(parse, text, **kw):
     try:
         result = parse(text, **kw)
@@ -69,9 +98,17 @@ def _outcome(parse, text, **kw):
     return result
 
 
-def _reference(name, text, mended=False, **kw):
-    with (mock.patch.object(reference_parser, "_Parser", _MendedParser)
-          if mended else nullcontext()):
+def _reference(name, text, colon=False, pattern=False, **kw):
+    """The reference's outcome, with the glued-colon fault mended when
+    colon, and the pattern recovery fault when pattern."""
+    with ExitStack() as mends:
+        if colon:
+            mends.enter_context(mock.patch.object(
+                reference_parser, "_Parser", _MendedParser))
+        if pattern:
+            mends.enter_context(mock.patch.object(
+                reference_parser, "_parse_application",
+                _pattern_read_in_place))
         return _outcome(getattr(reference_parser, name), text, **kw)
 
 
@@ -85,10 +122,12 @@ def _glued_probe_fault(outcome):
 
 def assert_same(name, text, **kw):
     new = _outcome(getattr(syn, name), text, **kw)
-    assert new == _reference(name, text, mended=True, **kw)
+    assert new == _reference(name, text, colon=True, pattern=True, **kw)
     plain = _reference(name, text, **kw)
     if new != plain:
-        assert name == "parse_model_file" and _glued_probe_fault(plain)
+        assert name == "parse_model_file"
+        assert (_glued_probe_fault(plain)
+                or _reference(name, text, pattern=True, **kw) != plain)
 
 
 # -- drawn inputs ----------------------------------------------------------
@@ -203,14 +242,14 @@ def test_descriptions_parse_as_in_the_reference(text, allow_var):
 @example(GLUED_PROBE)
 @example(". f F1 = A.")
 @example("goal G1 = A & (<object:<actor: B>>).\nqg Q1 = Speed(<a:<b: A>>) :: Fast.")
-@example("deuniversalize(?X, G1, <a: >=3 (Sec .)> <b: ]>, 5%) [s] = {}.\nf F1 = A.")
+@example(PATTERN_ERROR)
 @example("qg Q1 = Speed(A) :: [1, 2 Sec.] <observed_by:<a: B>>.\n"
          "qg Q2 = Speed(A) :: Fast <a: B>.")
 def test_model_files_parse_as_in_the_reference(text):
     assert_same("parse_model_file", text)
 
 
-def test_the_glued_colon_probe_is_the_one_difference():
+def test_the_glued_colon_probe_differs_from_the_reference():
     assert _reference("parse_model_file", GLUED_PROBE)[1] == [
         ("E-PARSE-001", (1, 22), "expected ':', found '<'")]
     decls, diags = _outcome(parse_model_file, GLUED_PROBE)
@@ -219,6 +258,17 @@ def test_the_glued_colon_probe_is_the_one_difference():
         ast.Atom("A"),
         ast.Slot("object", ast.ExactlyOne(),
                  ast.Slot("actor", ast.ExactlyOne(), ast.Atom("B")))))
+
+
+def test_recovery_resumes_at_an_error_in_a_deuniversalize_pattern():
+    assert _reference("parse_model_file", PATTERN_ERROR)[1] == [
+        ("E-PARSE-001", (1, 45), "expected description, found ']'"),
+        ("E-PARSE-001", (1, 38), "expected declaration, found ')'")]
+    decls, diags = _outcome(parse_model_file, PATTERN_ERROR)
+    assert diags == [
+        ("E-PARSE-001", (1, 45), "expected description, found ']'")]
+    assert decls == [syn.ElementDecl("f", "F1", syn.DescBody(ast.Atom("A")),
+                                     (2, 1))]
 
 
 @pytest.mark.parametrize("opening, closing", [

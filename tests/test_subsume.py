@@ -2,10 +2,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from desiree.reasoner.normal import (
     DnfOverflow,
     ReasonerContext,
+    _merge,
+    enrich,
     structural_subsumes,
     translate,
 )
@@ -14,6 +18,7 @@ from desiree.reasoner.subsume import subsumes
 from desiree.reasoner.verdict import Disproved, Proved, Unknown
 from desiree.syntax import ast
 from desiree.syntax.parser import parse_description as pd
+from gen_strategies import IDENTS, atoms, descriptions
 
 
 def proved(d1, d2, ctx=None):
@@ -62,6 +67,73 @@ def test_axiom_chain_enrichment():
     assert proved("A", "C", ctx)
     assert proved("A X", "C X", ctx)
     assert not proved("C", "A", ctx)
+
+
+def reference_enrich(c, ctx):
+    """The fixpoint that enrich ran before the told table: each told right
+    side of each atom reached is normalised again on every call, and an
+    overflowing one raises DnfOverflow."""
+    atom_axioms: dict = {}
+    for lhs, rhs in ctx.axioms:
+        if isinstance(lhs, ast.Atom) and lhs.name not in ("Anything",
+                                                          "Nothing"):
+            atom_axioms.setdefault(lhs.name, []).append(rhs)
+    applied: set = set()
+    cur = c
+    changed = True
+    while changed:
+        changed = False
+        for a in sorted(cur.atoms):
+            for i, rhs in enumerate(atom_axioms.get(a, ())):
+                if (a, i) in applied:
+                    continue
+                applied.add((a, i))
+                nf = translate(rhs, ctx)
+                if len(nf) != 1:
+                    continue  # disjunctive consequences don't merge in
+                m = _merge(cur, nf[0], ctx)
+                if m is None:
+                    return None
+                cur = m
+                changed = True
+    return cur
+
+
+told_theories = st.tuples(
+    st.lists(st.tuples(atoms, descriptions()), max_size=6),
+    st.lists(st.tuples(st.sampled_from(IDENTS), st.sampled_from(IDENTS)),
+             max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(theory=told_theories, d=descriptions())
+def test_enrich_matches_the_reference_fixpoint(theory, d):
+    axioms, disjoints = theory
+    ctx = ReasonerContext(axioms=axioms, disjoints=disjoints)
+    try:
+        cs = translate(d, ctx)
+        expected = [reference_enrich(c, ctx) for c in cs]
+    except DnfOverflow:
+        assume(False)  # the reference fails here; the table skips it
+    assert [enrich(c, ctx) for c in cs] == expected
+
+
+def test_an_overflowing_told_side_is_left_out():
+    # U's one told consequence has two disjuncts, past the cap of 1: it is
+    # left out of the table like any disjunction, so U :< U is proved
+    ctx = ReasonerContext(axioms=[(pd("U"), pd("P | Q"))], max_dnf=1)
+    assert verdict("U", "U", ctx) == Proved()
+    assert ctx.told == {}
+
+
+def test_contradicting_told_sides_make_the_atom_bottom():
+    ctx = ReasonerContext(axioms=[(pd("U"), pd("P")), (pd("U"), pd("Q"))],
+                          disjoints=[("P", "Q")])
+    assert ctx.told == {"U": None}
+    assert proved("U", "Nothing", ctx)
 
 
 def test_disjointness_context():
