@@ -77,11 +77,12 @@ def run_once(pairs):
 
 def scanned(pairs):
     """Interpretations the kernel visits at each k, smallest first:
-    through the first hit, or all of them."""
+    through the first hit, or all of them. Each search's problem is built
+    from the index entries that select_axioms returns."""
     n = 0
     for d1, d2, axioms in pairs:
-        selected = select_axioms(d1, d2, axioms)
-        for table, total, programs in build_problems(d1, d2, selected):
+        entries = select_axioms(d1, d2, axioms)
+        for table, total, programs in build_problems(d1, d2, entries):
             idx = kernels.find_violation(
                 total, table.k, table.gamma, len(table.atoms),
                 len(table.slots), len(table.named), len(table.inds),

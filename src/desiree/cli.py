@@ -230,58 +230,46 @@ def cmd_fmt(args) -> int:
 # Argument parsing.
 
 
-def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    common.add_argument("--lenient", action="store_true",
-                        help="also report tentative (unproved) matches")
-    common.add_argument("--max-dnf", type=int, default=DEFAULT_MAX_DNF,
-                        metavar="N",
-                        help="normal form disjunct cap for the reasoner")
+# The options each flag is declared with, and each command's arguments:
+# a command declares only the flags it reads.
+_FLAGS = {
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--lenient": dict(action="store_true",
+                      help="also report tentative (unproved) matches"),
+    "--max-dnf": dict(type=int, default=DEFAULT_MAX_DNF, metavar="N",
+                      help="normal form disjunct cap for the reasoner"),
+    "--format": dict(choices=("dot", "json"), default="json"),
+    "--write": dict(action="store_true", help="rewrite the file in place"),
+}
 
+_COMMANDS = [
+    ("check", cmd_check, "validate a model and report inconsistencies",
+     ("file", "--json", "--max-dnf")),
+    ("entail", cmd_entail, "decide whether one element entails another",
+     ("file", "id1", "id2", "--json", "--max-dnf")),
+    ("query", cmd_query, "answer an interrelation query",
+     ("file", "query", "--json", "--lenient", "--max-dnf")),
+    ("stats", cmd_stats, "print model statistics",
+     ("file", "--json", "--max-dnf")),
+    ("export", cmd_export, "export the model as dot or json",
+     ("file", "--max-dnf", "--format")),
+    ("fmt", cmd_fmt, "reprint a model file in canonical form",
+     ("file", "--write")),
+]
+
+
+def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="desiree",
         description="Check, reason about, query, and format "
                     "requirement models.")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", parents=[common],
-                       help="validate a model and report inconsistencies")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("entail", parents=[common],
-                       help="decide whether one element entails another")
-    p.add_argument("file")
-    p.add_argument("id1")
-    p.add_argument("id2")
-    p.set_defaults(func=cmd_entail)
-
-    p = sub.add_parser("query", parents=[common],
-                       help="answer an interrelation query")
-    p.add_argument("file")
-    p.add_argument("query")
-    p.set_defaults(func=cmd_query)
-
-    p = sub.add_parser("stats", parents=[common],
-                       help="print model statistics")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("export", parents=[common],
-                       help="export the model as dot or json")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.set_defaults(func=cmd_export)
-
-    p = sub.add_parser("fmt", parents=[common],
-                       help="reprint a model file in canonical form")
-    p.add_argument("file")
-    p.add_argument("--write", action="store_true",
-                   help="rewrite the file in place")
-    p.set_defaults(func=cmd_fmt)
+    for name, func, help_text, params in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for param in params:
+            p.add_argument(param, **_FLAGS.get(param, {}))
+        p.set_defaults(func=func)
     return top
 
 

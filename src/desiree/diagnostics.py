@@ -11,7 +11,6 @@ from typing import NamedTuple
 # Severity levels.
 ERROR = "Error"
 WARNING = "Warning"
-INFO = "Info"
 
 # Stable diagnostic codes. Never renumber.
 E_LEX = "E-LEX-001"          # lexical error
@@ -34,7 +33,6 @@ E_STR_FALSE = "E-STR-002"    # declared strength tag contradicted by the reasone
 W_UNKNOWN = "W-UNK-001"      # strength claim could not be verified or refuted
 E_CONS = "E-CONS-001"        # consistency clash
 E_QUERY = "E-QRY-001"        # unknown relation in a query
-W_DNF = "W-DNF-001"          # normal form disjunct cap exceeded
 E_IO = "E-IO-001"            # unreadable file / usage problem
 
 

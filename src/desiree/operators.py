@@ -1,7 +1,7 @@
 """Refinement operator signatures and the constructive operators.
 
-Signature rules (arity, admissible input and output kinds) live in the
-tables below; `model.load_model` walks applications through them. The
+The admissible input and output kinds live in the tables below, and
+arity in `model._apply`, which walks each application through them. The
 constructive operators (focus, scaling, de-universalization, observe)
 synthesize their output bodies here, so a model file only names the
 results.

@@ -21,8 +21,10 @@ the largest k that fits comes back empty.
 
 Each ReasonerContext keeps one AxiomIndex of its theory, built at its
 first search: a map from each symbol to the axioms whose left side
-mentions it, each with its symbol set, so the fixpoint tests an axiom
-again only when such a symbol enters Σ. The index also carries the
+mentions it, each with the signature of both its sides, so the fixpoint
+tests an axiom again only when such a symbol enters Σ. The final Σ is
+the problem's census: build_problems splits it by kind, so no selected
+axiom is walked again per search. The index also carries the
 search memo: the outcome of each search (the k and index of its hit, or
 none), keyed by the arguments of kernels.find_violation at k = 1 (the
 counts of the search and its tuple of programs), so searches that
@@ -54,15 +56,28 @@ class BoundsExceeded(Exception):
     """The problem does not fit the enumeration budget (or mixes units)."""
 
 
-def symbols_of(d: ast.Description) -> frozenset[str]:
-    """The atoms, slots, named regions and individuals d mentions."""
-    atoms, slots, inds, named, *_ = _census([d])
-    return frozenset(atoms | slots | named | inds)
+def signature(d: ast.Description) -> frozenset[tuple]:
+    """The symbols d mentions, each tagged with its kind: (ast.Atom,
+    name) for atoms other than Anything and Nothing, (ast.Slot, slot)
+    for slots and projections, (ast.Enum, member) for individuals and
+    (ast.Region, expr) for region expressions."""
+    out = set()
+    for node in ast.walk(d):
+        if isinstance(node, ast.Atom):
+            if node.name not in ("Anything", "Nothing"):
+                out.add((ast.Atom, node.name))
+        elif isinstance(node, (ast.Slot, ast.Proj)):
+            out.add((ast.Slot, node.slot))
+        elif isinstance(node, ast.Enum):
+            out.update((ast.Enum, x) for x in node.members)
+        elif isinstance(node, ast.Region):
+            out.add((ast.Region, node.expr))
+    return frozenset(out)
 
 
 def _nonempty_when_empty(d: ast.Description, sigma=frozenset()) -> bool:
     """Whether d's extension may be nonempty with every atom, slot and
-    named region outside sigma empty.
+    named region outside sigma (tagged as `signature` tags them) empty.
 
     Exact in the False direction: a False answer means the extension is
     certainly empty once those symbols are empty, which is what lets an
@@ -84,13 +99,14 @@ def _nonempty_when_empty(d: ast.Description, sigma=frozenset()) -> bool:
                 isinstance(d.modifier, ast.Only)
                 or ast.modifier_bounds(d.modifier)[0] == 0):
             vals.append(True)
-        elif isinstance(d, (ast.Slot, ast.Proj)) and d.slot in sigma:
+        elif (isinstance(d, (ast.Slot, ast.Proj))
+              and (ast.Slot, d.slot) in sigma):
             todo.append(d.filler if isinstance(d, ast.Slot) else d.base)
         elif isinstance(d, ast.Atom):
-            vals.append(d.name == "Anything" or d.name in sigma)
+            vals.append(d.name == "Anything" or (ast.Atom, d.name) in sigma)
         elif isinstance(d, ast.Region):
             vals.append(not isinstance(d.expr, ast.Named)
-                        or d.expr.name in sigma)
+                        or (ast.Region, d.expr) in sigma)
         else:  # enum members always exist; a slot outside sigma has no edge
             vals.append(isinstance(d, ast.Enum))
     return vals.pop()
@@ -99,18 +115,18 @@ def _nonempty_when_empty(d: ast.Description, sigma=frozenset()) -> bool:
 class AxiomIndex:
     """The axioms of one theory, indexed for select_axioms.
 
-    `by_lhs` maps each symbol to the entries (position, axiom, symbols)
-    of the axioms whose left side mentions it (key None: those whose
-    left side may be nonempty whatever Σ is); `count` is the number of
-    axioms. `memo` maps a search's k = 1 problem to its outcome, and
-    `programs` holds one copy of each program in the memo's keys. An
-    index made by `extended` shares all three with its parent, and
-    every entry list the new axiom does not join.
+    `by_lhs` maps each symbol to the entries (position, axiom, signature
+    of both sides) of the axioms whose left side mentions it (key None:
+    those whose left side may be nonempty whatever Σ is); `count` is the
+    number of axioms. `memo` maps a search's k = 1 problem to its
+    outcome, and `programs` holds one copy of each program in the memo's
+    keys. An index made by `extended` shares all three with its parent,
+    and every entry list the new axiom does not join.
     """
 
     def __init__(self, axioms: list[AxiomPair] | tuple[AxiomPair, ...] = ()):
         self.count = 0
-        self.by_lhs: dict[str | None, list] = {}
+        self.by_lhs: dict[tuple | None, list] = {}
         self.memo: dict = {}
         self.programs: dict = {}
         for ax in axioms:
@@ -119,8 +135,8 @@ class AxiomIndex:
     def _add(self, axiom: AxiomPair, shared: bool = False) -> None:
         """Index one more axiom; a shared list is copied, not grown."""
         lhs, rhs = axiom
-        left = symbols_of(lhs)
-        entry = (self.count, axiom, left | symbols_of(rhs))
+        left = signature(lhs)
+        entry = (self.count, axiom, left | signature(rhs))
         self.count += 1
         for s in (None,) if _nonempty_when_empty(lhs) else left:
             if shared:
@@ -145,46 +161,28 @@ def select_axioms(
     d1: ast.Description,
     d2: ast.Description,
     axioms: list[AxiomPair] | AxiomIndex,
-) -> list[AxiomPair]:
-    """The ⊥-module of the theory for separating d1 from d2, in order.
+) -> list[tuple]:
+    """The ⊥-module of the theory for separating d1 from d2: its index
+    entries (position, axiom, signature), in theory order.
 
-    Σ starts as the pair's symbols. An axiom is kept when its left side
+    Σ starts as the pair's signature. An axiom is kept when its left side
     may be nonempty with every atom, slot and named region outside Σ
-    empty, and its symbols then join Σ, until nothing changes. Every
+    empty, and its signature then joins Σ, until nothing changes. Every
     other axiom holds once the symbols outside Σ are empty. An axiom is
     tested again only when a symbol of its left side enters Σ; the test
     is monotone in Σ, so the fixpoint is exact. A list is indexed first.
     """
     index = axioms if isinstance(axioms, AxiomIndex) else AxiomIndex(axioms)
-    sigma = set(symbols_of(d1) | symbols_of(d2))
-    todo: list[str | None] = [None, *sigma]
-    chosen: dict[int, AxiomPair] = {}
+    sigma = set(signature(d1) | signature(d2))
+    todo: list[tuple | None] = [None, *sigma]
+    chosen: dict[int, tuple] = {}
     while todo:
         for i, axiom, syms in index.by_lhs.get(todo.pop(), ()):
             if i not in chosen and _nonempty_when_empty(axiom[0], sigma):
-                chosen[i] = axiom
+                chosen[i] = i, axiom, syms
                 todo.extend(syms - sigma)
                 sigma |= syms
     return [chosen[i] for i in sorted(chosen)]
-
-
-def _census(descs: list[ast.Description]):
-    atoms: set[str] = set()
-    slots: set[str] = set()
-    inds: set[str] = set()
-    regions: list[ast.RegionExpr] = []
-    for d in descs:
-        for node in ast.walk(d):
-            if isinstance(node, ast.Atom):
-                if node.name not in ("Anything", "Nothing"):
-                    atoms.add(node.name)
-            elif isinstance(node, (ast.Slot, ast.Proj)):
-                slots.add(node.slot)
-            elif isinstance(node, ast.Enum):
-                inds.update(node.members)
-            elif isinstance(node, ast.Region):
-                regions.append(node.expr)
-    return (atoms, slots, inds, *census(regions))
 
 
 def _sizes(n_atoms, n_slots, n_named, n_inds, gamma):
@@ -203,28 +201,30 @@ def _sizes(n_atoms, n_slots, n_named, n_inds, gamma):
 def build_problems(
     d1: ast.Description,
     d2: ast.Description,
-    axioms: list[AxiomPair],
+    entries: list[tuple],
 ):
     """(table, total, programs) for each k that fits, smallest first: the
     symbol table, the number of interpretations and the programs of d1,
-    d2 and each axiom's sides. The census and the grid are made once;
-    each k is compiled when the caller asks for it."""
-    descs = [d1, d2, *(side for axiom in axioms for side in axiom)]
-    atoms, slots, inds, named, units, nums, lits = _census(descs)
+    d2 and each selected entry's axiom sides. The census is Σ, the pair's
+    and the entries' signatures, split by kind; it and the grid are made
+    once; each k is compiled when the caller asks for it."""
+    kinds = {ast.Atom: [], ast.Slot: [], ast.Enum: [], ast.Region: []}
+    for kind, symbol in signature(d1).union(signature(d2),
+                                           *(e[2] for e in entries)):
+        kinds[kind].append(symbol)
+    named, units, nums, lits = census(kinds[ast.Region])
     if len(units) > 1:
         raise BoundsExceeded(
             "mixed units: " + ", ".join(sorted(u or "(none)" for u in units)))
-    grid = build_grid(nums, lits, need_slack=bool(slots or named))
+    grid = build_grid(nums, lits, need_slack=bool(kinds[ast.Slot] or named))
+    atoms, slots, inds, named = (
+        {s: i for i, s in enumerate(sorted(symbols))} for symbols in
+        (kinds[ast.Atom], kinds[ast.Slot], kinds[ast.Enum], named))
+    descs = [d1, d2, *(side for _, axiom, _ in entries for side in axiom)]
     for k, total in _sizes(len(atoms), len(slots), len(named), len(inds),
                            len(grid)):
-        table = SymbolTable(
-            k=k,
-            grid=grid,
-            atoms={a: i for i, a in enumerate(sorted(atoms))},
-            slots={s: i for i, s in enumerate(sorted(slots))},
-            named={r: i for i, r in enumerate(sorted(named))},
-            inds={x: i for i, x in enumerate(sorted(inds))},
-        )
+        table = SymbolTable(k=k, grid=grid, atoms=atoms, slots=slots,
+                            named=named, inds=inds)
         yield table, total, assemble(descs, table)
 
 
@@ -271,7 +271,7 @@ def oracle_disprove(
     table = replace(table, k=k)
     interp = kernels.decode_interpretation(idx, table)
     viol = violates_subsumption(interp, d1, d2)
-    if not viol or not satisfies_axioms(interp, selected):
+    if not viol or not satisfies_axioms(interp, [e[1] for e in selected]):
         raise RuntimeError("kernel disagrees with the reference evaluator")
     return Witness(interp, min(viol), render_description(d1),
                    render_description(d2))

@@ -39,7 +39,6 @@ _TABLE = {
     "focus": frozenset("we"),
     "scaleup": frozenset("se"),
     "scaledown": frozenset("we"),
-    "deuniversalize": frozenset("w"),
     "resolve": frozenset("w"),
     "observe": frozenset("s"),
 }

@@ -34,6 +34,7 @@ from fractions import Fraction
 from desiree.diagnostics import (
     Diagnostic,
     E_DUP,
+    E_LEX,
     E_NESTING,
     E_NOT_SUPPORTED,
     E_PARSE,
@@ -62,9 +63,10 @@ STRENGTH_TAGS = ("s", "w", "e")
 REGION_SLOTS = ("has_value_in",)
 
 # Deepest nesting of parentheses and slot fillers a description may have.
-# Deeper input is rejected with E-PARSE-003, so on nested input the parser
-# and every recursive walker after it (renderer, normaliser, compiler,
-# evaluator) stay well inside Python's recursion limit.
+# Deeper input is rejected with E-PARSE-003, which keeps nested input within
+# Python's recursion limit. It does not bound a flat chain such as
+# `A0 & A1 & … A2999`: hashing a node, the normaliser and the evaluator
+# still recurse down its And spine and can raise RecursionError.
 MAX_NESTING = 64
 
 
@@ -631,7 +633,7 @@ def parse_model_file(text: str) -> ModelFileAst:
     try:
         tokens = tokenize(text)
     except LexError as e:
-        out.diagnostics.append(Diagnostic(ERROR, "E-LEX-001", e.span, e.message))
+        out.diagnostics.append(Diagnostic(ERROR, E_LEX, e.span, e.message))
         return out
     p = _Parser(tokens)
     seen_ids: dict[str, Span] = {}

@@ -463,6 +463,27 @@ def test_export_bad_format_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+# Each command declares only the flags it reads; these it does not.
+UNREAD_FLAGS = [("check", ["--lenient"]), ("entail", ["--lenient"]),
+                ("stats", ["--lenient"]), ("export", ["--json"]),
+                ("export", ["--lenient"]), ("fmt", ["--json"]),
+                ("fmt", ["--lenient"]), ("fmt", ["--max-dnf", "2"])]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[" ".join([c, *f]) for c, f in UNREAD_FLAGS])
+def test_unread_flag_is_usage_error(capsys, command, flag):
+    operands = {"entail": ["F_book2", "F_book"]}.get(command, [])
+    with pytest.raises(SystemExit) as exc:
+        main([command, CORPUS, *operands, *flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: desiree ")
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    assert "internal error" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # fmt
 

@@ -22,6 +22,7 @@ from desiree.reasoner.oracle import (
     BoundsExceeded,
     oracle_disprove,
     select_axioms,
+    signature,
 )
 from desiree.reasoner.semantics import replay_witness, satisfies_axioms
 from desiree.reasoner.subsume import subsumes
@@ -349,7 +350,10 @@ class TestAssuming:
         pair = D("Advanced_search"), D("<actor: ONLY User>")
         selected = select_axioms(*pair, ctx2.axiom_index())
         assert selected == select_axioms(*pair, ctx.axiom_pairs() + [ax])
-        assert selected == [ctx.axioms[0], ax]
+        # the parent's first axiom and the assumed one, after the
+        # disjointness axiom at position 1
+        assert selected == [(i, a, signature(a[0]) | signature(a[1]))
+                            for i, a in [(0, ctx.axioms[0]), (2, ax)]]
 
     def test_tables_extend_the_parents(self):
         ctx = ctx_with("Advanced_search :< Search", "Search :< Function",

@@ -16,7 +16,7 @@ from desiree.reasoner.oracle import (
     build_problems,
     oracle_disprove,
     select_axioms,
-    symbols_of,
+    signature,
 )
 from desiree.reasoner.semantics import (
     replay_witness,
@@ -29,9 +29,16 @@ from desiree.syntax.parser import parse_description as pd
 from gen_strategies import descriptions
 
 
+def entries(axioms):
+    """The index entries (position, axiom, signature) of every axiom, in
+    order: what select_axioms returns when it keeps them all."""
+    return [(i, ax, signature(ax[0]) | signature(ax[1]))
+            for i, ax in enumerate(axioms)]
+
+
 def problems(d1, d2, axioms):
     """{k: (table, total, programs)} for every k that fits the budget."""
-    return {p[0].k: p for p in build_problems(d1, d2, axioms)}
+    return {p[0].k: p for p in build_problems(d1, d2, entries(axioms))}
 
 
 def scalar_first(d1, d2, axioms, k, limit=10000):
@@ -115,7 +122,7 @@ def test_axioms_block_witnesses():
 def test_universal_axiom_always_selected():
     # lhs Anything constrains every model even with no shared symbols
     ax = (pd("Anything"), pd("Q"))
-    assert select_axioms(pd("A"), pd("Q"), [ax]) == [ax]
+    assert select_axioms(pd("A"), pd("Q"), [ax]) == entries([ax])
     assert oracle_disprove(pd("Anything"), pd("Q"), [ax]) is None
 
 
@@ -134,15 +141,54 @@ def test_reversed_axiom_chain_selected_in_list_order():
     chain.append((pd("A"), pd("Y1")))
     stray = (pd("X"), pd("Z"))
     axioms = chain[:2] + [stray] + chain[2:]
-    assert select_axioms(pd("A"), pd("B"), axioms) == chain
+    assert select_axioms(pd("A"), pd("B"), axioms) == [
+        e for e in entries(axioms) if e[1] != stray]
+
+
+def test_selection_keeps_kinds_apart():
+    # an atom, a slot, an individual and a named region may share a
+    # name; only the atom s empties the left side of s :< Q
+    ax = (pd("s"), pd("Q"))
+    for kin in [pd("<s: A>"), pd("A.s"), pd("{s}"),
+                ast.Region(ast.Named("s"))]:
+        assert select_axioms(kin, pd("B"), [ax]) == []
+        w = oracle_disprove(kin, pd("B"), [ax])
+        assert "Q" not in w.interp.atoms
+    assert select_axioms(pd("s"), pd("B"), [ax]) == entries([ax])
+    fast = (ast.Region(ast.Named("Fast")), pd("Q"))
+    assert select_axioms(pd("Fast"), pd("B"), [fast]) == []
+    assert select_axioms(fast[0], pd("B"), [fast]) == entries([fast])
+
+
+def test_search_walks_only_the_pair(monkeypatch):
+    """Once the index is built, a search reads every selected axiom's
+    symbols from its entry: only d1 and d2 are walked."""
+    # 20 links over 12 atoms, so that k = 1 fits the budget
+    chain = [(pd(f"Y{i}"), pd(f"Y{i + j}")) for i in range(10) for j in (1, 2)]
+    index = ReasonerContext(axioms=chain).axiom_index()
+    d1, d2 = pd("Y0"), pd("B")
+    walked = []
+    walk = ast.walk
+
+    def logged(d):
+        walked.append(d)
+        return walk(d)
+
+    monkeypatch.setattr(ast, "walk", logged)
+    assert select_axioms(d1, d2, index) == entries(chain)
+    walked.clear()
+    w = oracle_disprove(d1, d2, index)
+    assert replay_witness(w)
+    assert set(w.interp.atoms) == {f"Y{i}" for i in range(12)} | {"B"}
+    assert walked and all(d is d1 or d is d2 for d in walked)
 
 
 def select_reference(d1, d2, axioms):
     """The ⊥-module select_axioms must reach, by plain rescans of the
     list: keep an axiom once its left side may be nonempty with every
-    symbol outside Σ empty, Σ being the symbols of the pair and of the
-    kept axioms."""
-    sigma = set(symbols_of(d1) | symbols_of(d2))
+    symbol outside Σ empty, Σ being the signatures of the pair and of
+    the kept axioms."""
+    sigma = set(signature(d1) | signature(d2))
     chosen = [False] * len(axioms)
     changed = True
     while changed:
@@ -150,9 +196,9 @@ def select_reference(d1, d2, axioms):
         for i, (lhs, rhs) in enumerate(axioms):
             if not chosen[i] and _nonempty_when_empty(lhs, sigma):
                 chosen[i] = True
-                sigma |= symbols_of(lhs) | symbols_of(rhs)
+                sigma |= signature(lhs) | signature(rhs)
                 changed = True
-    return [ax for i, ax in enumerate(axioms) if chosen[i]]
+    return [e for e in entries(axioms) if chosen[e[0]]]
 
 
 UNIVERSAL_SIDES = [ast.ANYTHING, pd("<s: <=1 A>"), pd("Anything - B"),
@@ -386,7 +432,7 @@ SWEEP_CASES = [
 @pytest.mark.parametrize("case", range(len(SWEEP_CASES)))
 def test_kernel_matches_reference_sweep(case):
     d1, d2, axioms = SWEEP_CASES[case]
-    axioms = select_axioms(d1, d2, axioms)
+    axioms = [axiom for _, axiom, _ in select_axioms(d1, d2, axioms)]
     for k in problems(d1, d2, axioms):
         assert kernel_on(d1, d2, axioms, k) == scalar_first(d1, d2, axioms, k)
 
@@ -438,7 +484,7 @@ def test_block_schedule(monkeypatch, name):
     d1, d2, axioms, k = BLOCK_CASES[name]
     d1, d2 = pd(d1), pd(d2)
     axioms = [(pd(lhs), pd(rhs)) for lhs, rhs in axioms]
-    assert select_axioms(d1, d2, axioms) == axioms
+    assert select_axioms(d1, d2, axioms) == entries(axioms)
     monkeypatch.setattr(kernels, "FIRST_BITS", CASE_FIRST_BITS)
     # every k against the reference; the case's shape at its k
     for each in problems(d1, d2, axioms):
@@ -554,7 +600,7 @@ def kernel_problems(draw):
         lambda side: st.tuples(side, side))
     axioms = draw(st.lists(st.one_of(st.tuples(sides, sides), one_symbol),
                            max_size=3))
-    return d1, d2, select_axioms(d1, d2, axioms)
+    return d1, d2, [axiom for _, axiom, _ in select_axioms(d1, d2, axioms)]
 
 
 @settings(max_examples=80, deadline=None)
