@@ -10,6 +10,7 @@ line, never as a traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -258,7 +259,10 @@ _COMMANDS = [
 ]
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built at the first `main` call and
+    reused by every later one in the process."""
     top = argparse.ArgumentParser(
         prog="desiree",
         description="Check, reason about, query, and format "
@@ -269,14 +273,16 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for param in params:
             p.add_argument(param, **_FLAGS.get(param, {}))
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
     return top
 
 
 def main(argv=None) -> int:
     """Run one command; the exit status is 0 clean, 1 model errors,
     2 usage or IO failure, 3 internal error."""
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)
+    if extra:  # reported with the command's own usage line
+        args.parser.error("unrecognized arguments: " + " ".join(extra))
     try:
         return args.func(args)
     except UsageError as err:

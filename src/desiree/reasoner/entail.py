@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from ..syntax import ast
 from ..syntax.parser import DescBody, NLBody, QualityBody, SubsumptionBody
-from ..syntax.render import render_description
 from .interp import Interpretation, Witness
 from .normal import DnfOverflow, ReasonerContext, structural_subsumes
 from .regions import region_gap_point, region_subset
@@ -168,9 +167,7 @@ def quality_entails(b1: QualityBody, b2: QualityBody,
 def _region_witness(point, r1, r2) -> Witness:
     """A one-point interpretation separating two concrete regions."""
     interp = Interpretation(k=0, grid=(point,))
-    return Witness(interp, 0,
-                   render_description(ast.Region(r1)),
-                   render_description(ast.Region(r2)))
+    return Witness(interp, 0, ast.Region(r1), ast.Region(r2))
 
 
 # ---------------------------------------------------------------------------

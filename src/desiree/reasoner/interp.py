@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
+from desiree.syntax import ast
+from desiree.syntax.render import render_description
+
 GridPoint = Union[Fraction, str]  # numeric value or opaque literal
 
 
@@ -34,15 +37,32 @@ class Interpretation:
 
 @dataclass(frozen=True)
 class Witness:
-    """A counter-interpretation plus the element separating d1 from d2."""
+    """A counter-interpretation plus the element separating d1 from d2.
+
+    d1 and d2 are descriptions or their text. `d1_text` and `d2_text`
+    render a description when read, so a search whose witness nobody
+    prints renders nothing.
+    """
 
     interp: Interpretation
     x: int
-    d1_text: str
-    d2_text: str
+    d1: ast.Description | str
+    d2: ast.Description | str
+
+    @property
+    def d1_text(self) -> str:
+        return _text(self.d1)
+
+    @property
+    def d2_text(self) -> str:
+        return _text(self.d2)
 
     def to_json(self) -> str:
         return json.dumps(witness_to_dict(self), sort_keys=True)
+
+
+def _text(d: ast.Description | str) -> str:
+    return d if isinstance(d, str) else render_description(d)
 
 
 def _grid_point_to_json(g: GridPoint) -> dict:

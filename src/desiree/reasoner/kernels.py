@@ -116,9 +116,19 @@ def _bit_fields(k, gamma, n_named, n_slots, n_atoms):
     return out
 
 
+def _members(mask: int) -> frozenset[int]:
+    """The elements of a mask, visiting its set bits only."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
 def decode_interpretation(idx: int, table: SymbolTable) -> Interpretation:
     """The explicit interpretation at one enumeration index."""
-    k, u = table.k, table.k + table.gamma
+    k = table.k
     slot0, atom0, _ind0 = field_bases(k, len(table.named), len(table.slots),
                                       len(table.atoms))
     individuals = {name: idx // k ** i % k for name, i in table.inds.items()}
@@ -127,15 +137,11 @@ def decode_interpretation(idx: int, table: SymbolTable) -> Interpretation:
              for off, width, shift in _bit_fields(
                  k, table.gamma, len(table.named), len(table.slots),
                  len(table.atoms))]
-
-    def members(mask):
-        return frozenset(e for e in range(u) if mask >> e & 1)
-
-    named = {name: members(masks[j]) for name, j in table.named.items()}
+    named = {name: _members(masks[j]) for name, j in table.named.items()}
     slots = {name: frozenset((x, y) for x in range(k)
-                             for y in members(masks[slot0 + s * k + x]))
+                             for y in _members(masks[slot0 + s * k + x]))
              for name, s in table.slots.items()}
-    atoms = {name: members(masks[atom0 + a])
+    atoms = {name: _members(masks[atom0 + a])
              for name, a in table.atoms.items()}
     return Interpretation(k, table.grid, atoms, slots, named, individuals)
 

@@ -2,9 +2,12 @@
 
 Enumerates every interpretation over a small universe derived from the
 descriptions at hand, keeps those satisfying the axioms, and looks for
-an element separating d1 from d2. A hit comes back as a replayable
-Witness. Bounded search never proves anything: the only trusted outcome
-is the counterexample, so callers treat "no hit" as inconclusive.
+an element separating d1 from d2. A hit is decoded, replayed through
+the reference evaluator (it must separate the pair and satisfy every
+selected axiom, or the search raises), and comes back as a Witness that
+keeps d1 and d2 and renders their text only when it is read. Bounded
+search never proves anything: the only trusted outcome is the
+counterexample, so callers treat "no hit" as inconclusive.
 
 Only the theory's ⊥-module for the pair is searched (select_axioms;
 Cuenca Grau, Horrocks, Kazakov & Sattler, "Modular reuse of ontologies",
@@ -22,18 +25,20 @@ the largest k that fits comes back empty.
 Each ReasonerContext keeps one AxiomIndex of its theory, built at its
 first search: a map from each symbol to the axioms whose left side
 mentions it, each with the signature of both its sides, so the fixpoint
-tests an axiom again only when such a symbol enters Σ. The final Σ is
-the problem's census: build_problems splits it by kind, so no selected
-axiom is walked again per search. The index also carries the
-search memo: the outcome of each search (the k and index of its hit, or
-none), keyed by the arguments of kernels.find_violation at k = 1 (the
-counts of the search and its tuple of programs), so searches that
-differ only in symbol names run the kernel once and compile only at
-k = 1. A context made by `ReasonerContext.assuming` (theory plus one
-assumed axiom) takes its parent's index extended by that axiom, so the
-two share the memo and every entry list that axiom does not join. All
-of it lives as long as the model's context, which the model keeps until
-its theory changes; nothing is kept across processes.
+tests an axiom again only when such a symbol enters Σ. A search walks
+the pair once: its signature seeds Σ, select_axioms grows that set in
+place, and the final Σ is the problem's census, which build_problems
+splits by kind, so neither the pair nor a selected axiom is walked
+again for it. The index also carries the search memo: the outcome of
+each search (the k and index of its hit, or none), keyed by the
+arguments of kernels.find_violation at k = 1 (the counts of the search
+and its tuple of programs), so searches that differ only in symbol names
+run the kernel once and compile only at k = 1. A context made by
+`ReasonerContext.assuming` (theory plus one assumed axiom) takes its
+parent's index extended by that axiom, so the two share the memo and
+every entry list that axiom does not join. All of it lives as long as
+the model's context, which the model keeps until its theory changes;
+nothing is kept across processes.
 """
 from __future__ import annotations
 
@@ -45,7 +50,6 @@ from desiree.reasoner.interp import Witness
 from desiree.reasoner.regions import build_grid, census
 from desiree.reasoner.semantics import satisfies_axioms, violates_subsumption
 from desiree.syntax import ast
-from desiree.syntax.render import render_description
 
 BUDGET = 1 << 21
 
@@ -161,6 +165,7 @@ def select_axioms(
     d1: ast.Description,
     d2: ast.Description,
     axioms: list[AxiomPair] | AxiomIndex,
+    sigma: set | None = None,
 ) -> list[tuple]:
     """The ⊥-module of the theory for separating d1 from d2: its index
     entries (position, axiom, signature), in theory order.
@@ -171,9 +176,13 @@ def select_axioms(
     other axiom holds once the symbols outside Σ are empty. An axiom is
     tested again only when a symbol of its left side enters Σ; the test
     is monotone in Σ, so the fixpoint is exact. A list is indexed first.
+
+    Given sigma, the pair's signature as a set, Σ is grown in it, so it
+    ends as the module's signature: the census build_problems takes.
     """
     index = axioms if isinstance(axioms, AxiomIndex) else AxiomIndex(axioms)
-    sigma = set(signature(d1) | signature(d2))
+    if sigma is None:
+        sigma = set(signature(d1) | signature(d2))
     todo: list[tuple | None] = [None, *sigma]
     chosen: dict[int, tuple] = {}
     while todo:
@@ -202,15 +211,16 @@ def build_problems(
     d1: ast.Description,
     d2: ast.Description,
     entries: list[tuple],
+    sigma: set | frozenset,
 ):
     """(table, total, programs) for each k that fits, smallest first: the
     symbol table, the number of interpretations and the programs of d1,
-    d2 and each selected entry's axiom sides. The census is Σ, the pair's
-    and the entries' signatures, split by kind; it and the grid are made
-    once; each k is compiled when the caller asks for it."""
+    d2 and each selected entry's axiom sides. The census is sigma, the
+    union of the pair's and the entries' signatures (as select_axioms
+    leaves it), split by kind; it and the grid are made once; each k is
+    compiled when the caller asks for it."""
     kinds = {ast.Atom: [], ast.Slot: [], ast.Enum: [], ast.Region: []}
-    for kind, symbol in signature(d1).union(signature(d2),
-                                           *(e[2] for e in entries)):
+    for kind, symbol in sigma:
         kinds[kind].append(symbol)
     named, units, nums, lits = census(kinds[ast.Region])
     if len(units) > 1:
@@ -249,8 +259,9 @@ def oracle_disprove(
     replayed.
     """
     index = axioms if isinstance(axioms, AxiomIndex) else AxiomIndex(axioms)
-    selected = select_axioms(d1, d2, index)
-    problems = build_problems(d1, d2, selected)
+    sigma = set(signature(d1) | signature(d2))
+    selected = select_axioms(d1, d2, index, sigma)
+    problems = build_problems(d1, d2, selected, sigma)
     table, total, programs = next(problems)
     key = (total, table.k, table.gamma, len(table.atoms), len(table.slots),
            len(table.named), len(table.inds), programs)
@@ -268,10 +279,10 @@ def oracle_disprove(
     k, idx = found
     if idx < 0:
         return None
-    table = replace(table, k=k)
+    if k != table.k:
+        table = replace(table, k=k)
     interp = kernels.decode_interpretation(idx, table)
     viol = violates_subsumption(interp, d1, d2)
     if not viol or not satisfies_axioms(interp, [e[1] for e in selected]):
         raise RuntimeError("kernel disagrees with the reference evaluator")
-    return Witness(interp, min(viol), render_description(d1),
-                   render_description(d2))
+    return Witness(interp, min(viol), d1, d2)

@@ -479,9 +479,52 @@ def test_unread_flag_is_usage_error(capsys, command, flag):
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert captured.err.startswith("usage: desiree ")
-    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    # the command's own usage line, listing the flags it does take
+    assert captured.err.startswith(f"usage: desiree {command} [-h]")
+    assert (f"desiree {command}: error: unrecognized arguments: "
+            f"{' '.join(flag)}") in captured.err
     assert "internal error" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# In-process reuse of main
+
+
+def test_parser_is_built_once_and_not_at_import(capsys):
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import desiree.cli; "
+            "print(desiree.cli._parser.cache_info().misses)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "0"
+    cli._parser.cache_clear()
+    for argv in (["fmt", CORPUS], ["stats", CORPUS],
+                 ["query", CORPUS, "<object: Product>"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_usage_error_leaves_the_next_command_intact(capsys):
+    cli._parser.cache_clear()
+    expected = run(capsys, "entail", "--json", CORPUS, "F_book2", "F_book")
+    for bad in (["fmt", CORPUS, "--json"], ["entail", CORPUS],
+                ["export", CORPUS, "--format", "yaml"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert run(capsys, "entail", "--json", CORPUS, "F_book2",
+                   "F_book") == expected
+
+
+def test_identical_queries_print_identical_bytes(capsys):
+    argv = ("query", "--lenient", CORPUS, "<is_object_of: F1>")
+    first = run(capsys, *argv)
+    assert first[0] == 0 and "# tentative" in first[1]
+    assert run(capsys, *argv) == first
 
 
 # ---------------------------------------------------------------------------

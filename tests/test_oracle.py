@@ -1,13 +1,16 @@
 """Counterexample-search checks: kernels vs the reference evaluator."""
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from desiree import cli
 from desiree.reasoner import kernels, oracle
-from desiree.reasoner.interp import witness_from_json
+from desiree.reasoner.interp import Interpretation, witness_from_json
 from desiree.reasoner.normal import ReasonerContext
 from desiree.reasoner.oracle import (
     BUDGET,
@@ -25,6 +28,7 @@ from desiree.reasoner.semantics import (
 )
 from desiree.syntax import ast
 from desiree.syntax.parser import parse_description as pd
+from desiree.syntax.render import render_description
 
 from gen_strategies import descriptions
 
@@ -38,7 +42,9 @@ def entries(axioms):
 
 def problems(d1, d2, axioms):
     """{k: (table, total, programs)} for every k that fits the budget."""
-    return {p[0].k: p for p in build_problems(d1, d2, entries(axioms))}
+    chosen = entries(axioms)
+    sigma = signature(d1).union(signature(d2), *(e[2] for e in chosen))
+    return {p[0].k: p for p in build_problems(d1, d2, chosen, sigma)}
 
 
 def scalar_first(d1, d2, axioms, k, limit=10000):
@@ -96,6 +102,53 @@ def test_projection_collects_stray_targets():
     w = oracle_disprove(pd("(A <s: B>).s"), pd("B"))
     assert w is not None
     assert replay_witness(w)
+
+
+def test_witness_text_survives_json():
+    d1, d2 = pd("A <s: {a}>"), pd("A <s: B>")
+    w = oracle_disprove(d1, d2)
+    assert (w.d1, w.d2) == (d1, d2)
+    back = witness_from_json(w.to_json())
+    assert (back.d1_text, back.d2_text) == (w.d1_text, w.d2_text) == (
+        render_description(d1), render_description(d2))
+    assert back.to_json() == w.to_json()
+    assert replay_witness(w) and replay_witness(back)
+
+
+def test_query_renders_no_witness(monkeypatch, capsys):
+    """The query matcher reads verdicts, never witness text, so its
+    searches render no description."""
+    renders, witnesses = [], []
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("desiree")]:
+        if getattr(module, "render_description", None) is render_description:
+            monkeypatch.setattr(module, "render_description",
+                                lambda d: renders.append(d) or "")
+    make = oracle.Witness
+
+    def counted(*args):
+        witnesses.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(oracle, "Witness", counted)
+    corpus = str(resources.files("desiree") / "corpus"
+                 / "meeting_scheduler.dsr")
+    for query in ("<is_object_of: F1>", "<actor: User> - <object: Room>"):
+        assert cli.main(["query", "--lenient", corpus, query]) == 0
+    assert capsys.readouterr().out
+    assert witnesses and not renders
+
+
+@pytest.mark.parametrize("index, axioms", [
+    (0, []),  # every atom empty: nothing separates A from C
+    (1, [("A", "B")]),  # A = {0}, B = C = {}: separates, breaks A :< B
+], ids=["no separation", "axiom broken"])
+def test_replay_guard_rejects_a_wrong_kernel(monkeypatch, index, axioms):
+    monkeypatch.setattr(kernels, "find_violation", lambda *args: index)
+    axioms = [(pd(lhs), pd(rhs)) for lhs, rhs in axioms]
+    with pytest.raises(RuntimeError) as exc:
+        oracle_disprove(pd("A"), pd("C"), axioms)
+    assert str(exc.value) == "kernel disagrees with the reference evaluator"
 
 
 def test_enum_shrink_disproved():
@@ -180,7 +233,8 @@ def test_search_walks_only_the_pair(monkeypatch):
     w = oracle_disprove(d1, d2, index)
     assert replay_witness(w)
     assert set(w.interp.atoms) == {f"Y{i}" for i in range(12)} | {"B"}
-    assert walked and all(d is d1 or d is d2 for d in walked)
+    # one walk each: selection grows the pair's signature into the census
+    assert len(walked) == 2 and walked[0] is d1 and walked[1] is d2
 
 
 def select_reference(d1, d2, axioms):
@@ -255,6 +309,35 @@ def test_indexed_selection_matches_the_fixpoint(d1, d2, axioms, more):
             d1, d2, ctx.axiom_pairs() + [assumed])
     assert select_axioms(d1, d2, base) == select_reference(
         d1, d2, ctx.axiom_pairs())
+
+
+@settings(deadline=None)
+@given(pair_sides, pair_sides, axiom_theories())
+def test_census_is_the_module_signature(d1, d2, axioms):
+    """The Σ the search hands to build_problems is the pair's signature
+    plus those of the axioms select_axioms keeps."""
+    seen = {}
+    select, build = oracle.select_axioms, oracle.build_problems
+
+    def selecting(*args):
+        seen["selected"] = select(*args)
+        return seen["selected"]
+
+    def building(d1, d2, entries, sigma):
+        seen["sigma"] = set(sigma)
+        return build(d1, d2, entries, sigma)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "select_axioms", selecting)
+        mp.setattr(oracle, "build_problems", building)
+        try:
+            oracle_disprove(d1, d2, axioms)
+        except BoundsExceeded:
+            pass
+    kept = [axiom for _, axiom, _ in seen["selected"]]
+    assert kept == [axiom for _, axiom, _ in select_reference(d1, d2, axioms)]
+    assert seen["sigma"] == signature(d1).union(
+        signature(d2), *(signature(lhs) | signature(rhs) for lhs, rhs in kept))
 
 
 def individuals_of(axioms):
@@ -435,6 +518,58 @@ def test_kernel_matches_reference_sweep(case):
     axioms = [axiom for _, axiom, _ in select_axioms(d1, d2, axioms)]
     for k in problems(d1, d2, axioms):
         assert kernel_on(d1, d2, axioms, k) == scalar_first(d1, d2, axioms, k)
+
+
+def reference_decode(idx, table):
+    """The interpretation at idx, read one digit and one bit at a time in
+    the documented layout (kernels module docstring)."""
+    k, u = table.k, table.k + table.gamma
+    digits = []
+    for _ in table.inds:
+        idx, digit = divmod(idx, k)
+        digits.append(digit)
+    bits = iter(bin(idx)[:1:-1] + "0" * 4096)
+
+    def take():
+        return next(bits) == "1"
+
+    def by_field(symbols):
+        return sorted(symbols.items(), key=lambda item: item[1])
+
+    named = {name: frozenset(table.k + e for e in range(table.gamma)
+                             if take())
+             for name, _ in by_field(table.named)}
+    slots = {name: frozenset((x, y) for x in range(k) for y in range(u)
+                             if take())
+             for name, _ in by_field(table.slots)}
+    atoms = {name: frozenset(x for x in range(k) if take())
+             for name, _ in by_field(table.atoms)}
+    individuals = {name: digits[i] for name, i in table.inds.items()}
+    return Interpretation(k, table.grid, atoms, slots, named, individuals)
+
+
+DECODE_CASES = [
+    ("A B", "C"),
+    ("{a, b} A", "B"),
+    ("{a, b} <s: A>", "<t: ONLY B>"),
+    ("<s: Anything>", "<t: Nothing>"),  # two slots of two rows at k = 2
+    ('"Fast" | "Slow"', "<s: :: {Mon}>"),
+    ("A.s <t: {c}>", "B"),
+]
+
+
+@pytest.mark.parametrize("case", DECODE_CASES, ids=" => ".join)
+def test_decode_matches_a_bit_by_bit_reference(case):
+    d1, d2 = pd(case[0]), pd(case[1])
+    seen = 0
+    for table, total, _programs in problems(d1, d2, []).values():
+        if total > 1 << 13:
+            continue
+        seen += 1
+        for idx in range(total):
+            assert kernels.decode_interpretation(idx, table) == (
+                reference_decode(idx, table)), idx
+    assert seen
 
 
 def logged_blocks(monkeypatch, d1, d2, axioms, k):
