@@ -314,7 +314,6 @@ def _register_declared(m: Model, decl: ElementDecl):
         _check_reserved(m, d, decl.span)
     m.elements[decl.ident] = Element(decl.kind, decl.ident, decl.body,
                                      decl.span)
-    m.invalidate()
 
 
 def _body_descriptions(body: Body):
@@ -350,7 +349,6 @@ def _add_disjoint(m: Model, decl: DisjointDecl):
                 "disjointness is declared between two concept names")
         return
     m.disjoints.append((names[0], names[1]))
-    m.invalidate()
 
 
 # ---------------------------------------------------------------------------

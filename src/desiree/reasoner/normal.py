@@ -1,11 +1,13 @@
 """Disjunctive normal form and the structural subsumption rules.
 
 A description becomes a list of conjuncts (empty list = empty extension).
-Each conjunct gathers what it guarantees about one element: atom
-memberships, exclusions, enum candidates, region memberships, per-slot
-filler-count ranges and ONLY constraints, projections, and opaque
-negative parts. Subsumption holds when every left conjunct lands inside
-some right conjunct, requirement by requirement.
+Each conjunct is an immutable record of nine flat sets of what it
+guarantees about one element: atom memberships, exclusions, enum
+candidates, region memberships, filler counts as (slot, lo, hi, filler),
+ONLY constraints as (slot, filler), projections, and opaque negative
+parts. Merging two conjuncts unions them set by set. Subsumption holds
+when every left conjunct lands inside some right conjunct, requirement
+by requirement.
 
 A context reads the told axioms once into two tables (ReasonerContext),
 which leave out told disjunctions.
@@ -15,7 +17,9 @@ disproved. Counterexamples are the oracle's job.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 from desiree.reasoner.oracle import AxiomIndex
 from desiree.reasoner.regions import (
@@ -53,7 +57,8 @@ class ReasonerContext:
     and its memo, the contexts made by `assuming`) live as long as it
     does. A context made by `assuming` is given its parent as `base` and
     starts from the parent's tables, replacing only the entries that the
-    assumed axiom extends.
+    assumed axiom extends; conjuncts are immutable, so the told entries
+    are shared with the parent and never copied.
     """
 
     axioms: list[tuple[ast.Description, ast.Description]] = field(
@@ -115,62 +120,33 @@ class ReasonerContext:
         return self._assumed[axiom]
 
 
-@dataclass
-class SlotCons:
-    cards: set = field(default_factory=set)  # (lo, hi or None, filler)
-    onlys: set = field(default_factory=set)  # filler descriptions
+class Conjunct(NamedTuple):
+    """What one element is guaranteed to satisfy, in nine flat sets."""
 
-
-@dataclass
-class Conjunct:
-    atoms: set = field(default_factory=set)
-    neg_atoms: set = field(default_factory=set)
-    neg_inds: set = field(default_factory=set)
-    enums: set = field(default_factory=set)  # frozensets of candidate names
-    regions: set = field(default_factory=set)
-    slots: dict = field(default_factory=dict)  # name -> SlotCons
-    projs: set = field(default_factory=set)  # (slot, base description)
-    neg_complex: set = field(default_factory=set)
-
-    def copy(self) -> "Conjunct":
-        return Conjunct(
-            atoms=set(self.atoms),
-            neg_atoms=set(self.neg_atoms),
-            neg_inds=set(self.neg_inds),
-            enums=set(self.enums),
-            regions=set(self.regions),
-            slots={s: SlotCons(set(sc.cards), set(sc.onlys))
-                   for s, sc in self.slots.items()},
-            projs=set(self.projs),
-            neg_complex=set(self.neg_complex),
-        )
-
-
-_EMPTY_SLOT = SlotCons()
+    atoms: frozenset = frozenset()
+    neg_atoms: frozenset = frozenset()
+    neg_inds: frozenset = frozenset()
+    enums: frozenset = frozenset()  # frozensets of candidate names
+    regions: frozenset = frozenset()
+    cards: frozenset = frozenset()  # (slot, lo, hi or None, filler)
+    onlys: frozenset = frozenset()  # (slot, filler)
+    projs: frozenset = frozenset()  # (slot, base description)
+    neg_complex: frozenset = frozenset()
 
 
 def _is_bottom(c: Conjunct, ctx: ReasonerContext) -> bool:
-    if c.atoms & c.neg_atoms:
+    if c.atoms & c.neg_atoms or frozenset() in c.enums:
         return True
-    if c.enums:
-        # only same-name exclusions cancel: two names may share a denotation
-        live = {e - c.neg_inds for e in c.enums}
-        c.enums = live
-        if any(not e for e in live):
-            return True
-    for pair in ctx.disjoint_pairs:
-        if pair <= c.atoms:
-            return True
-    for sc in c.slots.values():
-        by_filler: dict = {}
-        for lo, hi, f in sc.cards:
-            cur_lo, cur_hi = by_filler.get(f, (0, None))
-            cur_lo = max(cur_lo, lo)
-            if hi is not None:
-                cur_hi = hi if cur_hi is None else min(cur_hi, hi)
-            if cur_hi is not None and cur_lo > cur_hi:
-                return True
-            by_filler[f] = (cur_lo, cur_hi)
+    if any(pair <= c.atoms for pair in ctx.disjoint_pairs):
+        return True
+    lows: dict = {}
+    highs: dict = {}
+    for s, lo, hi, f in c.cards:
+        lows[s, f] = max(lows.get((s, f), 0), lo)
+        if hi is not None:
+            highs[s, f] = min(highs.get((s, f), hi), hi)
+    if any(lows[key] > hi for key, hi in highs.items()):
+        return True
     rs = list(c.regions)
     for i, r1 in enumerate(rs):
         for r2 in rs[i + 1:]:
@@ -180,18 +156,10 @@ def _is_bottom(c: Conjunct, ctx: ReasonerContext) -> bool:
 
 
 def _merge(c1: Conjunct, c2: Conjunct, ctx: ReasonerContext) -> Conjunct | None:
-    c = c1.copy()
-    c.atoms |= c2.atoms
-    c.neg_atoms |= c2.neg_atoms
-    c.neg_inds |= c2.neg_inds
-    c.enums |= c2.enums
-    c.regions |= c2.regions
-    for s, sc in c2.slots.items():
-        mine = c.slots.setdefault(s, SlotCons(set(), set()))
-        mine.cards |= sc.cards
-        mine.onlys |= sc.onlys
-    c.projs |= c2.projs
-    c.neg_complex |= c2.neg_complex
+    c = Conjunct(*map(operator.or_, c1, c2))
+    if c.enums and c.neg_inds:
+        # only same-name exclusions cancel: two names may share a denotation
+        c = c._replace(enums=frozenset(e - c.neg_inds for e in c.enums))
     return None if _is_bottom(c, ctx) else c
 
 
@@ -207,21 +175,18 @@ def translate(d: ast.Description, ctx: ReasonerContext) -> list[Conjunct]:
             return []
         if d.name == "Anything":
             return [Conjunct()]
-        return [Conjunct(atoms={d.name})]
+        return [Conjunct(atoms=frozenset({d.name}))]
     if isinstance(d, ast.Enum):
-        return [Conjunct(enums={frozenset(d.members)})]
+        return [Conjunct(enums=frozenset({frozenset(d.members)}))]
     if isinstance(d, ast.Region):
-        return [Conjunct(regions={d.expr})]
+        return [Conjunct(regions=frozenset({d.expr}))]
     if isinstance(d, ast.Slot):
-        sc = SlotCons(set(), set())
         if isinstance(d.modifier, ast.Only):
-            sc.onlys.add(d.filler)
-        else:
-            lo, hi = ast.modifier_bounds(d.modifier)
-            sc.cards.add((lo, hi, d.filler))
-        return [Conjunct(slots={d.slot: sc})]
+            return [Conjunct(onlys=frozenset({(d.slot, d.filler)}))]
+        lo, hi = ast.modifier_bounds(d.modifier)
+        return [Conjunct(cards=frozenset({(d.slot, lo, hi, d.filler)}))]
     if isinstance(d, ast.Proj):
-        return [Conjunct(projs={(d.slot, d.base)})]
+        return [Conjunct(projs=frozenset({(d.slot, d.base)}))]
     if isinstance(d, ast.And):
         out = []
         right = translate(d.right, ctx)
@@ -242,27 +207,6 @@ def translate(d: ast.Description, ctx: ReasonerContext) -> list[Conjunct]:
 
 
 def _apply_neg(cs: list, r: ast.Description, ctx: ReasonerContext) -> list:
-    if isinstance(r, ast.Atom):
-        if r.name == "Nothing":
-            return cs
-        if r.name == "Anything":
-            return []
-        out = []
-        for c in cs:
-            c2 = c.copy()
-            c2.neg_atoms.add(r.name)
-            if not _is_bottom(c2, ctx):
-                out.append(c2)
-        return out
-    if isinstance(r, ast.Enum):
-        out = []
-        for c in cs:
-            c2 = c.copy()
-            c2.neg_inds |= set(r.members)
-            c2.enums = {e - set(r.members) for e in c2.enums}
-            if not _is_bottom(c2, ctx):
-                out.append(c2)
-        return out
     if isinstance(r, ast.Or):
         return _apply_neg(_apply_neg(cs, r.left, ctx), r.right, ctx)
     if isinstance(r, ast.And):
@@ -273,19 +217,19 @@ def _apply_neg(cs: list, r: ast.Description, ctx: ReasonerContext) -> list:
         # excluding (p - q) means avoiding p or landing in q
         out = _apply_neg(cs, r.left, ctx)
         qs = translate(r.right, ctx)
-        for c in cs:
-            for q in qs:
-                m = _merge(c, q, ctx)
-                if m is not None:
-                    out.append(m)
+        out += [m for c in cs for q in qs
+                if (m := _merge(c, q, ctx)) is not None]
         _cap(out, ctx)
         return out
-    out = []
-    for c in cs:
-        c2 = c.copy()
-        c2.neg_complex.add(r)
-        out.append(c2)
-    return out
+    if isinstance(r, ast.Atom) and r.name in ("Nothing", "Anything"):
+        return cs if r.name == "Nothing" else []
+    if isinstance(r, ast.Atom):
+        neg = Conjunct(neg_atoms=frozenset({r.name}))
+    elif isinstance(r, ast.Enum):
+        neg = Conjunct(neg_inds=frozenset(r.members))
+    else:
+        return [c._replace(neg_complex=c.neg_complex | {r}) for c in cs]
+    return [m for c in cs if (m := _merge(c, neg, ctx)) is not None]
 
 
 def enrich(c: Conjunct, ctx: ReasonerContext) -> Conjunct | None:
@@ -369,44 +313,46 @@ def _conj_leq(c: Conjunct, d: Conjunct, ctx: ReasonerContext) -> bool:
         if not any(structural_subsumes(n2, n1, ctx)
                    for n1 in c.neg_complex):
             return False
-    for s, dc in d.slots.items():
-        cc = c.slots.get(s, _EMPTY_SLOT)
-        for f2 in dc.onlys:
-            if not _only_ok(cc, f2, ctx):
-                return False
-        for lo2, hi2, f2 in dc.cards:
-            if not _card_ok(cc, lo2, hi2, f2, ctx):
-                return False
+    for s, f2 in d.onlys:
+        if not _only_ok(c, s, f2, ctx):
+            return False
+    for s, lo2, hi2, f2 in d.cards:
+        if not _card_ok(c, s, lo2, hi2, f2, ctx):
+            return False
     return True
 
 
-def _no_edges(cc: SlotCons) -> bool:
-    return any(lo == 0 and hi == 0 and _is_anything(f)
-               for lo, hi, f in cc.cards)
+def _no_edges(c: Conjunct, s: str) -> bool:
+    return any(s1 == s and lo == 0 and hi == 0 and _is_anything(f)
+               for s1, lo, hi, f in c.cards)
 
 
-def _only_ok(cc: SlotCons, f2, ctx) -> bool:
-    if _no_edges(cc):
+def _only_ok(c: Conjunct, s: str, f2, ctx) -> bool:
+    if _no_edges(c, s):
         return True  # vacuously, nothing leaves the element
-    return any(structural_subsumes(f1, f2, ctx) for f1 in cc.onlys)
+    return any(s1 == s and structural_subsumes(f1, f2, ctx)
+               for s1, f1 in c.onlys)
 
 
-def _card_ok(cc: SlotCons, lo2: int, hi2, f2, ctx) -> bool:
+def _card_ok(c: Conjunct, s: str, lo2: int, hi2, f2, ctx) -> bool:
+    cards = [(lo1, hi1, f1) for s1, lo1, hi1, f1 in c.cards if s1 == s]
     lower = lo2 == 0 or any(
         lo1 >= lo2 and structural_subsumes(f1, f2, ctx)
-        for lo1, _hi1, f1 in cc.cards)
+        for lo1, _hi1, f1 in cards)
     if not lower:
         return False
     if hi2 is None:
         return True
     # counts into a superset of f2 bound counts into f2 from above
-    for _lo1, hi1, f1 in cc.cards:
+    for _lo1, hi1, f1 in cards:
         if hi1 is not None and hi1 <= hi2 and structural_subsumes(
                 f2, f1, ctx):
             return True
     # or all edges stay inside some filler whose total count is bounded
-    for only1 in cc.onlys:
-        for _lo1, hi1, f1 in cc.cards:
+    for s1, only1 in c.onlys:
+        if s1 != s:
+            continue
+        for _lo1, hi1, f1 in cards:
             if hi1 is not None and hi1 <= hi2 and structural_subsumes(
                     only1, f1, ctx):
                 return True

@@ -199,7 +199,7 @@ def _sizes(n_atoms, n_slots, n_named, n_inds, gamma):
     sizes = []
     for k in (1, 2, 3):
         bits = k * n_atoms + n_slots * k * (k + gamma) + gamma * n_named
-        if k + gamma > 16 or bits > 61 or (1 << bits) * k ** n_inds > BUDGET:
+        if (1 << bits) * k ** n_inds > BUDGET:
             break
         sizes.append((k, (1 << bits) * k ** n_inds))
     if not sizes:

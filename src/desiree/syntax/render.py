@@ -136,13 +136,9 @@ def render_description(d: ast.Description) -> str:
     return _render(d, _LEVEL_DIFF)
 
 
-def _render_string(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def render_body(body: syn.Body) -> str:
     if isinstance(body, syn.NLBody):
-        return _render_string(body.text)
+        return _quote(body.text)
     if isinstance(body, syn.DescBody):
         return render_description(body.desc)
     if isinstance(body, syn.SubsumptionBody):

@@ -527,6 +527,30 @@ def test_identical_queries_print_identical_bytes(capsys):
     assert run(capsys, *argv) == first
 
 
+def test_output_does_not_depend_on_the_hash_seed():
+    """Sets of names iterate in an order that PYTHONHASHSEED picks; the
+    bytes printed must not follow it."""
+    commands = [["check", "--json", CORPUS],
+                ["query", "--lenient", "--json", CORPUS,
+                 "<is_object_of: F1>"],
+                ["query", "--lenient", "--json", CORPUS, "Anything"],
+                ["entail", "--json", CORPUS, "QC_resp_rel", "QC_resp_tight"]]
+    code = ("import json, sys; from desiree.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    print('exit', main(argv), flush=True)")
+    src = Path(cli.__file__).resolve().parents[1]
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)],
+            capture_output=True, env=env, timeout=120, check=True)
+        outs.append(done.stdout)
+    assert outs[0].count(b"exit ") == 4
+    assert b"tentative" in outs[0] and b'"disproved"' in outs[0]
+    assert outs[0] == outs[1]
+
+
 # ---------------------------------------------------------------------------
 # fmt
 

@@ -251,3 +251,34 @@ def test_unknown_when_budget_blocks_both_routes():
     left = "A " + " ".join(f"<s{i}: A>" for i in range(22))
     v = verdict(left + " Z", left.replace("A ", "A0 ", 1) + " Z")
     assert isinstance(v, Unknown)
+
+
+def test_subtracting_nothing_keeps_the_description():
+    assert proved("A - Nothing", "A")
+    assert proved("A", "A - Nothing")
+
+
+def test_subtracting_anything_leaves_nothing():
+    assert translate(pd("A - Anything"), ReasonerContext()) == []
+
+
+def test_certainly_disjoint_regions_meet_in_nothing():
+    ctx = ReasonerContext()
+    assert structural_subsumes(pd("[0, 1] & [5, 6]"), pd("Nothing"), ctx)
+    # touching intervals share a point
+    assert not structural_subsumes(pd("[0, 1] & [1, 6]"), pd("Nothing"), ctx)
+    v = verdict("[0, 1] & [1, 6]", "Nothing")
+    assert isinstance(v, Disproved)
+    assert replay_witness(v.witness)
+
+
+def test_a_variable_has_no_normal_form():
+    with pytest.raises(ValueError):
+        translate(ast.Var("X"), ReasonerContext())
+
+
+def test_many_grid_points_are_searched():
+    # 23 grid points and one interpretation: the search decides it
+    v = verdict("[0, 20]", "[0, 1] | [2, 3] | [4, 5] | [6, 7] | [8, 9]")
+    assert isinstance(v, Disproved)
+    assert replay_witness(v.witness)
