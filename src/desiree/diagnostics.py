@@ -5,8 +5,9 @@ identical inputs always print identical diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from desiree.records import Record
 
 # Severity levels.
 ERROR = "Error"
@@ -50,12 +51,15 @@ class Span(NamedTuple):
         return f"{self.line}:{self.col}"
 
 
-@dataclass
-class Diagnostic:
-    severity: str
-    code: str
-    span: Span | None
-    message: str
+class Diagnostic(Record):
+    __slots__ = ("severity", "code", "span", "message")
+
+    def __init__(self, severity: str, code: str, span: Span | None,
+                 message: str):
+        self.severity = severity
+        self.code = code
+        self.span = span
+        self.message = message
 
     def format(self) -> str:
         where = str(self.span) if self.span else "-"

@@ -11,7 +11,6 @@ semantic verification of each strength claim.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import operators as ops
@@ -44,6 +43,7 @@ from .reasoner.strength import (
     admissible_strengths,
     verify_claim,
 )
+from .records import Record
 from .syntax import ast
 from .syntax.parser import (
     ApplicationDecl,
@@ -86,26 +86,37 @@ _BODY_NAMES = {
 }
 
 
-@dataclass
-class Element:
-    kind: str
-    ident: str
-    body: Body
-    span: Span | None
-    origin: str = "declared"
-    relaxations: dict[str, Fraction] = field(default_factory=dict)
-    active: bool = True
+class Element(Record):
+    __slots__ = ("kind", "ident", "body", "span", "origin", "relaxations",
+                 "active")
+
+    def __init__(self, kind: str, ident: str, body: Body, span: Span | None,
+                 origin: str = "declared",
+                 relaxations: dict[str, Fraction] | None = None,
+                 active: bool = True):
+        self.kind = kind
+        self.ident = ident
+        self.body = body
+        self.span = span
+        self.origin = origin
+        self.relaxations = {} if relaxations is None else relaxations
+        self.active = active
 
 
-@dataclass
-class Application:
-    op: str
-    inputs: tuple[str, ...]
-    strength: str
-    outputs: tuple[str, ...]
-    span: Span | None
-    verdict: str = INVALID
-    note: str | None = None
+class Application(Record):
+    __slots__ = ("op", "inputs", "strength", "outputs", "span", "verdict",
+                 "note")
+
+    def __init__(self, op: str, inputs: tuple[str, ...], strength: str,
+                 outputs: tuple[str, ...], span: Span | None,
+                 verdict: str = INVALID, note: str | None = None):
+        self.op = op
+        self.inputs = inputs
+        self.strength = strength
+        self.outputs = outputs
+        self.span = span
+        self.verdict = verdict
+        self.note = note
 
 
 class Model:

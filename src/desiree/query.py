@@ -11,13 +11,12 @@ aside as tentative for lenient callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagnostics import E_QUERY, ERROR, Diagnostic
 from .reasoner.normal import ReasonerContext
 from .reasoner.regions import region_subset
 from .reasoner.subsume import subsumes
 from .reasoner.verdict import Unknown, is_proved
+from .records import Frozen, Record, init_field
 from .syntax import ast
 from .syntax.parser import DescBody, QualityBody, parse_description
 
@@ -26,28 +25,40 @@ BUILTIN_RELATIONS = frozenset(
     {"inheres_in", "has_quality", "observed_by", "has_value_in"})
 
 
-@dataclass(frozen=True)
-class Fact:
-    subject: str
-    relation: str
-    object: object  # a node id, or a region expression for has_value_in
-    source: str     # id of the element the fact was read from
+class Fact(Frozen):
+    __slots__ = ("subject", "relation", "object", "source")
+
+    def __init__(self, subject: str, relation: str, object: object,
+                 source: str):
+        init_field(self, "subject", subject)
+        init_field(self, "relation", relation)
+        # a node id, or a region expression for has_value_in
+        init_field(self, "object", object)
+        # id of the element the fact was read from
+        init_field(self, "source", source)
 
 
-@dataclass
-class Node:
-    ident: str
-    type_desc: ast.Description
+class Node(Record):
+    __slots__ = ("ident", "type_desc")
+
+    def __init__(self, ident: str, type_desc: ast.Description):
+        self.ident = ident
+        self.type_desc = type_desc
 
 
-@dataclass
-class FactGraph:
-    nodes: dict[str, Node] = field(default_factory=dict)
-    facts: list[Fact] = field(default_factory=list)
-    # relation -> subject -> target ids, deduplicated, in file order
-    edges: dict[str, dict[str, list[str]]] = field(default_factory=dict)
-    # quality instance -> declared regions, deduplicated
-    regions: dict[str, list[ast.RegionExpr]] = field(default_factory=dict)
+class FactGraph(Record):
+    __slots__ = ("nodes", "facts", "edges", "regions")
+
+    def __init__(self, nodes: dict[str, Node] | None = None,
+                 facts: list[Fact] | None = None,
+                 edges: dict[str, dict[str, list[str]]] | None = None,
+                 regions: dict[str, list[ast.RegionExpr]] | None = None):
+        self.nodes = {} if nodes is None else nodes
+        self.facts = [] if facts is None else facts
+        # relation -> subject -> target ids, deduplicated, in file order
+        self.edges = {} if edges is None else edges
+        # quality instance -> declared regions, deduplicated
+        self.regions = {} if regions is None else regions
 
     @property
     def relations(self) -> frozenset[str]:
@@ -161,11 +172,14 @@ def _subject_node(g: FactGraph, subject: ast.Description) -> str | None:
 # Evaluation.
 
 
-@dataclass
-class QueryResult:
-    sure: list[str]
-    tentative: list[str]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class QueryResult(Record):
+    __slots__ = ("sure", "tentative", "diagnostics")
+
+    def __init__(self, sure: list[str], tentative: list[str],
+                 diagnostics: list[Diagnostic] | None = None):
+        self.sure = sure
+        self.tentative = tentative
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def run_query(model, text: str) -> QueryResult:

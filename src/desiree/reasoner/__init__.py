@@ -1,26 +1,2 @@
 """Translation, structural subsumption, strength checking, consistency,
 and the brute-force finite-model oracle."""
-
-from desiree.reasoner.entail import entails
-from desiree.reasoner.normal import ReasonerContext
-from desiree.reasoner.subsume import subsumes
-from desiree.reasoner.verdict import (
-    PROVED,
-    Disproved,
-    Proved,
-    Unknown,
-    Verdict3,
-    is_proved,
-)
-
-__all__ = [
-    "Disproved",
-    "PROVED",
-    "Proved",
-    "ReasonerContext",
-    "Unknown",
-    "Verdict3",
-    "entails",
-    "is_proved",
-    "subsumes",
-]

@@ -14,8 +14,6 @@ fields (kernels.field_bases):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from desiree.reasoner.interp import GridPoint
 from desiree.reasoner.kernels import (
     OP_AND,
@@ -30,18 +28,24 @@ from desiree.reasoner.kernels import (
     field_bases,
 )
 from desiree.reasoner.semantics import point_in_region
+from desiree.records import Record
 from desiree.syntax import ast
 
-@dataclass
-class SymbolTable:
+
+class SymbolTable(Record):
     """Index assignment for every symbol a bounded search will vary."""
 
-    k: int
-    grid: tuple[GridPoint, ...]
-    atoms: dict[str, int]
-    slots: dict[str, int]
-    named: dict[str, int]
-    inds: dict[str, int]
+    __slots__ = ("k", "grid", "atoms", "slots", "named", "inds")
+
+    def __init__(self, k: int, grid: tuple[GridPoint, ...],
+                 atoms: dict[str, int], slots: dict[str, int],
+                 named: dict[str, int], inds: dict[str, int]):
+        self.k = k
+        self.grid = grid
+        self.atoms = atoms
+        self.slots = slots
+        self.named = named
+        self.inds = inds
 
     @property
     def gamma(self) -> int:

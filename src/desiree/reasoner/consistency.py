@@ -17,19 +17,22 @@ every step back to the axiom, assumption, or element that caused it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from ..records import Frozen, init_field
 from ..syntax import ast
 
 _RESERVED = ("Anything", "Nothing")
 
 
-@dataclass(frozen=True)
-class Clash:
-    anchor: str                 # concept caught on both sides
-    pair: tuple[str, str]       # the declared disjoint classes
-    chains: tuple[str, str]     # one rendered derivation per side
-    fact: str | None = None     # id of the triggering function, if any
+class Clash(Frozen):
+    __slots__ = ("anchor", "pair", "chains", "fact")
+
+    def __init__(self, anchor: str, pair: tuple[str, str],
+                 chains: tuple[str, str], fact: str | None = None):
+        init_field(self, "anchor", anchor)  # concept caught on both sides
+        init_field(self, "pair", pair)  # the declared disjoint classes
+        init_field(self, "chains", chains)  # one rendered derivation per side
+        init_field(self, "fact", fact)  # id of the triggering function, if any
 
     def render(self) -> str:
         where = f" (asserted by {self.fact})" if self.fact else ""
@@ -37,12 +40,15 @@ class Clash:
                 f"{self.pair[1]}{where}: {self.chains[0]} | {self.chains[1]}")
 
 
-@dataclass(frozen=True)
-class _OnlyRule:
-    owner: str
-    slot: str
-    fillers: tuple[str, ...]
-    label: str
+class _OnlyRule(Frozen):
+    __slots__ = ("owner", "slot", "fillers", "label")
+
+    def __init__(self, owner: str, slot: str, fillers: tuple[str, ...],
+                 label: str):
+        init_field(self, "owner", owner)
+        init_field(self, "slot", slot)
+        init_field(self, "fillers", fillers)
+        init_field(self, "label", label)
 
 
 def _harvest(sources):

@@ -8,24 +8,32 @@ hold grid points only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
+from desiree.records import Frozen, init_field
 from desiree.syntax import ast
 from desiree.syntax.render import render_description
 
 GridPoint = Union[Fraction, str]  # numeric value or opaque literal
 
 
-@dataclass(frozen=True)
-class Interpretation:
-    k: int
-    grid: tuple[GridPoint, ...] = ()
-    atoms: dict[str, frozenset[int]] = field(default_factory=dict)
-    slots: dict[str, frozenset[tuple[int, int]]] = field(default_factory=dict)
-    named_regions: dict[str, frozenset[int]] = field(default_factory=dict)
-    individuals: dict[str, int] = field(default_factory=dict)
+class Interpretation(Frozen):
+    __slots__ = ("k", "grid", "atoms", "slots", "named_regions", "individuals")
+
+    def __init__(self, k: int, grid: tuple[GridPoint, ...] = (),
+                 atoms: dict[str, frozenset[int]] | None = None,
+                 slots: dict[str, frozenset[tuple[int, int]]] | None = None,
+                 named_regions: dict[str, frozenset[int]] | None = None,
+                 individuals: dict[str, int] | None = None):
+        init_field(self, "k", k)
+        init_field(self, "grid", grid)
+        init_field(self, "atoms", {} if atoms is None else atoms)
+        init_field(self, "slots", {} if slots is None else slots)
+        init_field(self, "named_regions",
+                   {} if named_regions is None else named_regions)
+        init_field(self, "individuals",
+                   {} if individuals is None else individuals)
 
     @property
     def universe(self) -> frozenset[int]:
@@ -35,8 +43,7 @@ class Interpretation:
         return range(self.k, self.k + len(self.grid))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """A counter-interpretation plus the element separating d1 from d2.
 
     d1 and d2 are descriptions or their text. `d1_text` and `d2_text`
@@ -44,10 +51,14 @@ class Witness:
     prints renders nothing.
     """
 
-    interp: Interpretation
-    x: int
-    d1: ast.Description | str
-    d2: ast.Description | str
+    __slots__ = ("interp", "x", "d1", "d2")
+
+    def __init__(self, interp: Interpretation, x: int,
+                 d1: ast.Description | str, d2: ast.Description | str):
+        init_field(self, "interp", interp)
+        init_field(self, "x", x)
+        init_field(self, "d1", d1)
+        init_field(self, "d2", d2)
 
     @property
     def d1_text(self) -> str:

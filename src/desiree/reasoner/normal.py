@@ -18,7 +18,6 @@ disproved. Counterexamples are the oracle's job.
 from __future__ import annotations
 
 import operator
-from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 from desiree.reasoner.oracle import AxiomIndex
@@ -26,6 +25,7 @@ from desiree.reasoner.regions import (
     region_subset,
     regions_certainly_disjoint,
 )
+from desiree.records import Record
 from desiree.syntax import ast
 
 DEFAULT_MAX_DNF = 16
@@ -43,8 +43,7 @@ def _side_name(d: ast.Description) -> str | None:
     return None
 
 
-@dataclass
-class ReasonerContext:
+class ReasonerContext(Record):
     """Background theory plus caches shared across queries.
 
     `told[a]` merges atom a's told right sides that normalise to one
@@ -61,13 +60,23 @@ class ReasonerContext:
     are shared with the parent and never copied.
     """
 
-    axioms: list[tuple[ast.Description, ast.Description]] = field(
-        default_factory=list)
-    disjoints: list[tuple[str, str]] = field(default_factory=list)
-    max_dnf: int = DEFAULT_MAX_DNF
-    # the context whose axioms begin this one's (given by `assuming`); not
-    # kept, so a context and its assumption contexts form no cycle
-    base: InitVar["ReasonerContext | None"] = None
+    # The tables and caches that `__post_init__` builds live in `__dict__`;
+    # it is a method of its own, so a context build can be wrapped.
+    __slots__ = ("axioms", "disjoints", "max_dnf", "__dict__")
+
+    def __init__(self,
+                 axioms: list[tuple[ast.Description, ast.Description]]
+                 | None = None,
+                 disjoints: list[tuple[str, str]] | None = None,
+                 max_dnf: int = DEFAULT_MAX_DNF,
+                 base: ReasonerContext | None = None):
+        self.axioms = [] if axioms is None else axioms
+        self.disjoints = [] if disjoints is None else disjoints
+        self.max_dnf = max_dnf
+        # `base` is the context whose axioms begin this one's (given by
+        # `assuming`); not kept, so a context and its assumption contexts
+        # form no cycle
+        self.__post_init__(base)
 
     def __post_init__(self, base=None):
         self.disjoint_pairs = {frozenset(p) for p in self.disjoints}

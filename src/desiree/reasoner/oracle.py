@@ -42,8 +42,6 @@ nothing is kept across processes.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 from desiree.reasoner import kernels
 from desiree.reasoner.compile import SymbolTable, assemble
 from desiree.reasoner.interp import Witness
@@ -280,7 +278,8 @@ def oracle_disprove(
     if idx < 0:
         return None
     if k != table.k:
-        table = replace(table, k=k)
+        table = SymbolTable(k, table.grid, table.atoms, table.slots,
+                            table.named, table.inds)
     interp = kernels.decode_interpretation(idx, table)
     viol = violates_subsumption(interp, d1, d2)
     if not viol or not satisfies_axioms(interp, [e[1] for e in selected]):

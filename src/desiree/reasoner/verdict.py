@@ -5,27 +5,33 @@ finite counter-interpretation; Unknown records why neither was reached.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from desiree.records import Frozen, init_field
 
-@dataclass(frozen=True)
-class Proved:
+
+class Proved(Frozen):
+    __slots__ = ()
+
     def __bool__(self) -> bool:  # convenience for `if verdict:` checks
         return True
 
 
-@dataclass(frozen=True)
-class Disproved:
-    witness: "object"  # reasoner.interp.Witness
+class Disproved(Frozen):
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: object):  # a reasoner.interp.Witness
+        init_field(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str
+class Unknown(Frozen):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        init_field(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return False

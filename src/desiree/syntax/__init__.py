@@ -1,57 +1,1 @@
 """Lexing, parsing, and pretty-printing of the textual model language."""
-
-from desiree.syntax.ast import (
-    And,
-    Atom,
-    CardModifier,
-    Description,
-    Diff,
-    Enum,
-    Interval,
-    Named,
-    Or,
-    Percent,
-    Proj,
-    Region,
-    RegionExpr,
-    Slot,
-    ValueSet,
-    Var,
-)
-from desiree.syntax.lexer import LexError, Token, tokenize
-from desiree.syntax.parser import (
-    ModelFileAst,
-    ParseError,
-    parse_description,
-    parse_model_file,
-)
-from desiree.syntax.render import render_declaration, render_description, render_region
-
-__all__ = [
-    "And",
-    "Atom",
-    "CardModifier",
-    "Description",
-    "Diff",
-    "Enum",
-    "Interval",
-    "LexError",
-    "ModelFileAst",
-    "Named",
-    "Or",
-    "ParseError",
-    "Percent",
-    "Proj",
-    "Region",
-    "RegionExpr",
-    "Slot",
-    "Token",
-    "ValueSet",
-    "Var",
-    "parse_description",
-    "parse_model_file",
-    "render_declaration",
-    "render_description",
-    "render_region",
-    "tokenize",
-]

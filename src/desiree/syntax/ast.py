@@ -1,46 +1,65 @@
 """AST node types for descriptions and their region expressions.
 
-All nodes are immutable and compare structurally, which is what the parser
-round-trip property and the reasoner's fast equality paths rely on.
+Every node is an immutable `records.Frozen` record. Its fields are the
+public names in its `__slots__`, and assigning to one raises
+AttributeError. Two nodes are equal when they are of the same class and
+their fields are equal, so `Atom("x") != Var("x")` and
+`And(a, b) != Or(a, b)`. A node hashes as the tuple of its fields; each
+`__init__` computes that hash once, from its children's cached hashes,
+and keeps it in the `_hash` slot. The parser round-trip property and the
+reasoner's memo tables rely on this structural equality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from desiree.records import Frozen, init_field
 
 # ---------------------------------------------------------------------------
 # Cardinality modifiers for slot-description pairs.
 
 
-@dataclass(frozen=True)
-class ExactlyOne:
+class ExactlyOne(Frozen):
     """Default modifier: exactly one filler in the described set."""
 
-
-@dataclass(frozen=True)
-class AtMost:
-    n: int  # >= 0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AtLeast:
-    n: int  # >= 1
+class AtMost(Frozen):
+    __slots__ = ("n", "_hash")  # >= 0
+
+    def __init__(self, n: int):
+        init_field(self, "n", n)
+        init_field(self, "_hash", hash((n,)))
 
 
-@dataclass(frozen=True)
-class Exactly:
-    n: int  # >= 1
+class AtLeast(Frozen):
+    __slots__ = ("n", "_hash")  # >= 1
+
+    def __init__(self, n: int):
+        init_field(self, "n", n)
+        init_field(self, "_hash", hash((n,)))
 
 
-@dataclass(frozen=True)
-class Some:
+class Exactly(Frozen):
+    __slots__ = ("n", "_hash")  # >= 1
+
+    def __init__(self, n: int):
+        init_field(self, "n", n)
+        init_field(self, "_hash", hash((n,)))
+
+
+class Some(Frozen):
     """At least one filler."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Only:
+
+class Only(Frozen):
     """Every filler lies in the described set."""
+
+    __slots__ = ()
 
 
 CardModifier = Union[ExactlyOne, AtMost, AtLeast, Exactly, Some, Only]
@@ -50,39 +69,52 @@ CardModifier = Union[ExactlyOne, AtMost, AtLeast, Exactly, Some, Only]
 # Region expressions.
 
 
-@dataclass(frozen=True)
-class Named:
+class Named(Frozen):
     """A vague region referred to by name, e.g. Fast or "Nearly Fast"."""
 
-    name: str
+    __slots__ = ("name", "_hash")
+
+    def __init__(self, name: str):
+        init_field(self, "name", name)
+        init_field(self, "_hash", hash((name,)))
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """Closed numeric interval [lo, hi]; hi None means unbounded above.
 
     The unit is an opaque label; a trailing period is trimmed at parse time
     so "Sec." and "Sec" denote the same unit.
     """
 
-    lo: Fraction
-    hi: Fraction | None
-    unit: str | None = None
+    __slots__ = ("lo", "hi", "unit", "_hash")
+
+    def __init__(self, lo: Fraction, hi: Fraction | None,
+                 unit: str | None = None):
+        init_field(self, "lo", lo)
+        init_field(self, "hi", hi)
+        init_field(self, "unit", unit)
+        init_field(self, "_hash", hash((lo, hi, unit)))
 
 
-@dataclass(frozen=True)
-class ValueSet:
+class ValueSet(Frozen):
     """A finite set of literal values (identifiers or numbers-as-text)."""
 
-    values: tuple[str, ...]
+    __slots__ = ("values", "_hash")
+
+    def __init__(self, values: tuple[str, ...]):
+        init_field(self, "values", values)
+        init_field(self, "_hash", hash((values,)))
 
 
-@dataclass(frozen=True)
-class Percent:
+class Percent(Frozen):
     """A percentage interval with bounds in [0, 1]."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi", "_hash")
+
+    def __init__(self, lo: Fraction, hi: Fraction):
+        init_field(self, "lo", lo)
+        init_field(self, "hi", hi)
+        init_field(self, "_hash", hash((lo, hi)))
 
 
 RegionExpr = Union[Named, Interval, ValueSet, Percent]
@@ -92,67 +124,95 @@ RegionExpr = Union[Named, Interval, ValueSet, Percent]
 # Descriptions.
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Frozen):
     """A concept name. `Nothing` and `Anything` are reserved."""
 
-    name: str
+    __slots__ = ("name", "_hash")
+
+    def __init__(self, name: str):
+        init_field(self, "name", name)
+        init_field(self, "_hash", hash((name,)))
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(Frozen):
     """A slot-description pair `<s: D>` with a cardinality modifier."""
 
-    slot: str
-    modifier: CardModifier
-    filler: "Description"
+    __slots__ = ("slot", "modifier", "filler", "_hash")
+
+    def __init__(self, slot: str, modifier: CardModifier,
+                 filler: Description):
+        init_field(self, "slot", slot)
+        init_field(self, "modifier", modifier)
+        init_field(self, "filler", filler)
+        init_field(self, "_hash", hash((slot, modifier, filler)))
 
 
-@dataclass(frozen=True)
-class Enum:
+class Enum(Frozen):
     """An enumeration of individuals, e.g. {Mon, Wed, Fri}."""
 
-    members: tuple[str, ...]
+    __slots__ = ("members", "_hash")
+
+    def __init__(self, members: tuple[str, ...]):
+        init_field(self, "members", members)
+        init_field(self, "_hash", hash((members,)))
 
 
-@dataclass(frozen=True)
-class Proj:
+class Proj(Frozen):
     """Inverse-slot projection `D.s`: the s-fillers of members of D."""
 
-    base: "Description"
-    slot: str
+    __slots__ = ("base", "slot", "_hash")
+
+    def __init__(self, base: Description, slot: str):
+        init_field(self, "base", base)
+        init_field(self, "slot", slot)
+        init_field(self, "_hash", hash((base, slot)))
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Description"
-    right: "Description"
+class And(Frozen):
+    __slots__ = ("left", "right", "_hash")
+
+    def __init__(self, left: Description, right: Description):
+        init_field(self, "left", left)
+        init_field(self, "right", right)
+        init_field(self, "_hash", hash((left, right)))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Description"
-    right: "Description"
+class Or(Frozen):
+    __slots__ = ("left", "right", "_hash")
+
+    def __init__(self, left: Description, right: Description):
+        init_field(self, "left", left)
+        init_field(self, "right", right)
+        init_field(self, "_hash", hash((left, right)))
 
 
-@dataclass(frozen=True)
-class Diff:
-    left: "Description"
-    right: "Description"
+class Diff(Frozen):
+    __slots__ = ("left", "right", "_hash")
+
+    def __init__(self, left: Description, right: Description):
+        init_field(self, "left", left)
+        init_field(self, "right", right)
+        init_field(self, "_hash", hash((left, right)))
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Frozen):
     """A region expression used in description position."""
 
-    expr: RegionExpr
+    __slots__ = ("expr", "_hash")
+
+    def __init__(self, expr: RegionExpr):
+        init_field(self, "expr", expr)
+        init_field(self, "_hash", hash((expr,)))
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Frozen):
     """A ?X variable; legal only inside de-universalization arguments."""
 
-    name: str
+    __slots__ = ("name", "_hash")
+
+    def __init__(self, name: str):
+        init_field(self, "name", name)
+        init_field(self, "_hash", hash((name,)))
 
 
 Description = Union[Atom, Slot, Enum, Proj, And, Or, Diff, Region, Var]

@@ -28,7 +28,6 @@ reads the rest as '<' (`_Parser.split`), so the quality-form probe in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from desiree.diagnostics import (
@@ -41,6 +40,7 @@ from desiree.diagnostics import (
     ERROR,
     Span,
 )
+from desiree.records import Frozen, Record, init_field
 from desiree.syntax import ast
 from desiree.syntax.lexer import (
     EOF,
@@ -82,126 +82,165 @@ class ParseError(Exception):
 # Declaration AST.
 
 
-@dataclass(frozen=True)
-class NLBody:
-    text: str
+class NLBody(Frozen):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        init_field(self, "text", text)
 
 
-@dataclass(frozen=True)
-class DescBody:
-    desc: ast.Description
+class DescBody(Frozen):
+    __slots__ = ("desc",)
+
+    def __init__(self, desc: ast.Description):
+        init_field(self, "desc", desc)
 
 
-@dataclass(frozen=True)
-class SubsumptionBody:
-    lhs: ast.Description
-    rhs: ast.Description
+class SubsumptionBody(Frozen):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: ast.Description, rhs: ast.Description):
+        init_field(self, "lhs", lhs)
+        init_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class QualityBody:
-    quality: str
-    subject: ast.Description
-    region: ast.RegionExpr
-    observer: ast.Description | None = None
+class QualityBody(Frozen):
+    __slots__ = ("quality", "subject", "region", "observer")
+
+    def __init__(self, quality: str, subject: ast.Description,
+                 region: ast.RegionExpr,
+                 observer: ast.Description | None = None):
+        init_field(self, "quality", quality)
+        init_field(self, "subject", subject)
+        init_field(self, "region", region)
+        init_field(self, "observer", observer)
 
 
 Body = NLBody | DescBody | SubsumptionBody | QualityBody
 
 
-@dataclass(frozen=True)
-class ElementDecl:
-    kind: str
-    ident: str
-    body: Body
-    span: Span
+class ElementDecl(Frozen):
+    __slots__ = ("kind", "ident", "body", "span")
+
+    def __init__(self, kind: str, ident: str, body: Body, span: Span):
+        init_field(self, "kind", kind)
+        init_field(self, "ident", ident)
+        init_field(self, "body", body)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True)
-class AxiomDecl:
-    lhs: ast.Description
-    rhs: ast.Description
-    span: Span
+class AxiomDecl(Frozen):
+    __slots__ = ("lhs", "rhs", "span")
+
+    def __init__(self, lhs: ast.Description, rhs: ast.Description, span: Span):
+        init_field(self, "lhs", lhs)
+        init_field(self, "rhs", rhs)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True)
-class DisjointDecl:
-    left: ast.Description
-    right: ast.Description
-    span: Span
+class DisjointDecl(Frozen):
+    __slots__ = ("left", "right", "span")
+
+    def __init__(self, left: ast.Description, right: ast.Description,
+                 span: Span):
+        init_field(self, "left", left)
+        init_field(self, "right", right)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True)
-class HierarchyDecl:
-    edge: str  # "dimension" or "part"
-    child: str
-    parent: str
-    span: Span
+class HierarchyDecl(Frozen):
+    __slots__ = ("edge", "child", "parent", "span")
+
+    def __init__(self, edge: str, child: str, parent: str, span: Span):
+        init_field(self, "edge", edge)  # "dimension" or "part"
+        init_field(self, "child", child)
+        init_field(self, "parent", parent)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True)
-class FactorDecl:
-    name: str
-    direction: str  # "strengthens" or "weakens"
-    span: Span
+class FactorDecl(Frozen):
+    __slots__ = ("name", "direction", "span")
+
+    def __init__(self, name: str, direction: str, span: Span):
+        init_field(self, "name", name)
+        init_field(self, "direction", direction)  # "strengthens" or "weakens"
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True)
-class ConflictDecl:
-    ids: tuple[str, ...]
-    span: Span
+class ConflictDecl(Frozen):
+    __slots__ = ("ids", "span")
+
+    def __init__(self, ids: tuple[str, ...], span: Span):
+        init_field(self, "ids", ids)
+        init_field(self, "span", span)
 
 
-@dataclass(frozen=True)
-class ScaleQuantitative:
-    f_lo: Fraction
-    f_hi: Fraction
+class ScaleQuantitative(Frozen):
+    __slots__ = ("f_lo", "f_hi")
+
+    def __init__(self, f_lo: Fraction, f_hi: Fraction):
+        init_field(self, "f_lo", f_lo)
+        init_field(self, "f_hi", f_hi)
 
 
-@dataclass(frozen=True)
-class ScaleQualitative:
-    factor: str
+class ScaleQualitative(Frozen):
+    __slots__ = ("factor",)
+
+    def __init__(self, factor: str):
+        init_field(self, "factor", factor)
 
 
-@dataclass(frozen=True)
-class FocusTargets:
-    targets: tuple[str, ...]
+class FocusTargets(Frozen):
+    __slots__ = ("targets",)
+
+    def __init__(self, targets: tuple[str, ...]):
+        init_field(self, "targets", targets)
 
 
-@dataclass(frozen=True)
-class DeUniversalizeSyntax:
-    var: str
-    pattern: ast.Description
-    pct: Fraction
+class DeUniversalizeSyntax(Frozen):
+    __slots__ = ("var", "pattern", "pct")
+
+    def __init__(self, var: str, pattern: ast.Description, pct: Fraction):
+        init_field(self, "var", var)
+        init_field(self, "pattern", pattern)
+        init_field(self, "pct", pct)
 
 
-@dataclass(frozen=True)
-class ObserveSyntax:
-    observer: ast.Description
+class ObserveSyntax(Frozen):
+    __slots__ = ("observer",)
+
+    def __init__(self, observer: ast.Description):
+        init_field(self, "observer", observer)
 
 
 AppArgs = (ScaleQuantitative | ScaleQualitative | FocusTargets
            | DeUniversalizeSyntax | ObserveSyntax | None)
 
 
-@dataclass(frozen=True)
-class ApplicationDecl:
-    op: str
-    inputs: tuple[str, ...]
-    args: AppArgs
-    strength: str  # "s" | "w" | "e"
-    outputs: tuple[str, ...]
-    span: Span
+class ApplicationDecl(Frozen):
+    __slots__ = ("op", "inputs", "args", "strength", "outputs", "span")
+
+    def __init__(self, op: str, inputs: tuple[str, ...], args: AppArgs,
+                 strength: str, outputs: tuple[str, ...], span: Span):
+        init_field(self, "op", op)
+        init_field(self, "inputs", inputs)
+        init_field(self, "args", args)
+        init_field(self, "strength", strength)  # "s" | "w" | "e"
+        init_field(self, "outputs", outputs)
+        init_field(self, "span", span)
 
 
 Declaration = (ElementDecl | AxiomDecl | DisjointDecl | HierarchyDecl
                | FactorDecl | ConflictDecl | ApplicationDecl)
 
 
-@dataclass
-class ModelFileAst:
-    declarations: list[Declaration] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class ModelFileAst(Record):
+    __slots__ = ("declarations", "diagnostics")
+
+    def __init__(self, declarations: list[Declaration] | None = None,
+                 diagnostics: list[Diagnostic] | None = None):
+        self.declarations = [] if declarations is None else declarations
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,16 @@ def run(capsys, *argv):
 
 
 def test_import_leaves_numpy_out():
-    """The CLI and the bounded search start without numpy."""
+    """The CLI and the bounded search start without numpy, and without
+    dataclasses and the inspect module it pulls in."""
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys, desiree.cli, desiree.reasoner.oracle; "
-            "print('numpy' in sys.modules)")
+            "print([m in sys.modules "
+            "for m in ('numpy', 'dataclasses', 'inspect')])")
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False, False]"
 
 
 # ---------------------------------------------------------------------------
