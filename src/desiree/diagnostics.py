@@ -40,8 +40,7 @@ E_IO = "E-IO-001"            # unreadable file / usage problem
 class Span(NamedTuple):
     """1-based source position of a token or construct.
 
-    A tuple, so it unpacks as (line, col) like the plain pairs a
-    `syntax.lexer.Token` may be given.
+    A tuple, so it unpacks as (line, col).
     """
 
     line: int

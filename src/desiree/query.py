@@ -12,11 +12,10 @@ aside as tentative for lenient callers.
 from __future__ import annotations
 
 from .diagnostics import E_QUERY, ERROR, Diagnostic
-from .reasoner.normal import ReasonerContext
 from .reasoner.regions import region_subset
 from .reasoner.subsume import subsumes
 from .reasoner.verdict import Unknown, is_proved
-from .records import Frozen, Record, init_field
+from .records import Record
 from .syntax import ast
 from .syntax.parser import DescBody, QualityBody, parse_description
 
@@ -25,36 +24,13 @@ BUILTIN_RELATIONS = frozenset(
     {"inheres_in", "has_quality", "observed_by", "has_value_in"})
 
 
-class Fact(Frozen):
-    __slots__ = ("subject", "relation", "object", "source")
-
-    def __init__(self, subject: str, relation: str, object: object,
-                 source: str):
-        init_field(self, "subject", subject)
-        init_field(self, "relation", relation)
-        # a node id, or a region expression for has_value_in
-        init_field(self, "object", object)
-        # id of the element the fact was read from
-        init_field(self, "source", source)
-
-
-class Node(Record):
-    __slots__ = ("ident", "type_desc")
-
-    def __init__(self, ident: str, type_desc: ast.Description):
-        self.ident = ident
-        self.type_desc = type_desc
-
-
 class FactGraph(Record):
-    __slots__ = ("nodes", "facts", "edges", "regions")
+    __slots__ = ("nodes", "edges", "regions")
 
-    def __init__(self, nodes: dict[str, Node] | None = None,
-                 facts: list[Fact] | None = None,
+    def __init__(self, nodes: dict[str, ast.Description] | None = None,
                  edges: dict[str, dict[str, list[str]]] | None = None,
                  regions: dict[str, list[ast.RegionExpr]] | None = None):
         self.nodes = {} if nodes is None else nodes
-        self.facts = [] if facts is None else facts
         # relation -> subject -> target ids, deduplicated, in file order
         self.edges = {} if edges is None else edges
         # quality instance -> declared regions, deduplicated
@@ -65,19 +41,15 @@ class FactGraph(Record):
         return frozenset(self.edges) | BUILTIN_RELATIONS
 
     def add_node(self, ident: str, type_desc: ast.Description) -> str:
-        if ident not in self.nodes:
-            self.nodes[ident] = Node(ident, type_desc)
+        self.nodes.setdefault(ident, type_desc)
         return ident
 
-    def add_edge(self, subject: str, relation: str, target: str,
-                 source: str):
-        self.facts.append(Fact(subject, relation, target, source))
+    def add_edge(self, subject: str, relation: str, target: str):
         targets = self.edges.setdefault(relation, {}).setdefault(subject, [])
         if target not in targets:
             targets.append(target)
 
-    def add_region(self, instance: str, region: ast.RegionExpr, source: str):
-        self.facts.append(Fact(instance, "has_value_in", region, source))
+    def add_region(self, instance: str, region: ast.RegionExpr):
         rs = self.regions.setdefault(instance, [])
         if region not in rs:
             rs.append(region)
@@ -109,10 +81,13 @@ def extract_facts(model) -> FactGraph:
     for e in actives:
         if e.kind in ("qg", "qc") and isinstance(e.body, QualityBody):
             _quality_facts(g, e)
-    for fact in list(g.facts):
-        if isinstance(fact.object, str):
-            g.add_edge(fact.object, _inverse(fact.relation), fact.subject,
-                       fact.source)
+    # Forward edges only: a relation named `is_actor_of` is not inverted.
+    forward = [(relation, subject, target)
+               for relation, by_subject in g.edges.items()
+               for subject, targets in by_subject.items()
+               for target in targets]
+    for relation, subject, target in forward:
+        g.add_edge(target, _inverse(relation), subject)
     return g
 
 
@@ -126,7 +101,7 @@ def _function_facts(g: FactGraph, e):
         if lo < 1:
             continue  # nothing is asserted to exist
         for target in _filler_targets(g, part.filler):
-            g.add_edge(e.ident, part.slot, target, e.ident)
+            g.add_edge(e.ident, part.slot, target)
 
 
 def _filler_targets(g: FactGraph, filler: ast.Description) -> list[str]:
@@ -152,11 +127,11 @@ def _quality_facts(g: FactGraph, e):
         return
     instance = g.add_node(f"{e.body.quality}@{subject}",
                           ast.Atom(e.body.quality))
-    g.add_edge(instance, "inheres_in", subject, e.ident)
-    g.add_region(instance, e.body.region, e.ident)
+    g.add_edge(instance, "inheres_in", subject)
+    g.add_region(instance, e.body.region)
     if e.body.observer is not None:
         for target in _filler_targets(g, e.body.observer):
-            g.add_edge(instance, "observed_by", target, e.ident)
+            g.add_edge(instance, "observed_by", target)
 
 
 def _subject_node(g: FactGraph, subject: ast.Description) -> str | None:
@@ -200,21 +175,21 @@ def eval_query(model, desc: ast.Description,
 
 def _eval(g, d, ctx, diags):
     """Evaluate to (sure, maybe) node-id sets."""
-    if isinstance(d, ast.And):
-        s1, m1 = _eval(g, d.left, ctx, diags)
-        s2, m2 = _eval(g, d.right, ctx, diags)
-        sure = s1 & s2
-        return sure, ((s1 | m1) & (s2 | m2)) - sure
-    if isinstance(d, ast.Or):
-        s1, m1 = _eval(g, d.left, ctx, diags)
-        s2, m2 = _eval(g, d.right, ctx, diags)
-        sure = s1 | s2
-        return sure, (m1 | m2) - sure
-    if isinstance(d, ast.Diff):
-        s1, m1 = _eval(g, d.left, ctx, diags)
-        s2, m2 = _eval(g, d.right, ctx, diags)
-        sure = s1 - (s2 | m2)
-        return sure, (s1 | m1) - s2 - sure
+    if isinstance(d, (ast.And, ast.Or, ast.Diff)):
+        d, chain = ast.left_spine(d)
+        s1, m1 = _eval(g, d, ctx, diags)
+        for node in chain:
+            s2, m2 = _eval(g, node.right, ctx, diags)
+            if isinstance(node, ast.And):
+                sure = s1 & s2
+                s1, m1 = sure, ((s1 | m1) & (s2 | m2)) - sure
+            elif isinstance(node, ast.Or):
+                sure = s1 | s2
+                s1, m1 = sure, (m1 | m2) - sure
+            else:
+                sure = s1 - (s2 | m2)
+                s1, m1 = sure, (s1 | m1) - s2 - sure
+        return s1, m1
     if isinstance(d, ast.Slot):
         return _eval_slot(g, d, ctx, diags)
     if isinstance(d, ast.Proj):
@@ -226,18 +201,18 @@ def _eval(g, d, ctx, diags):
 
 def _match_nodes(g, d, ctx):
     sure, maybe = set(), set()
-    for node in g.nodes.values():
-        if isinstance(d, ast.Atom) and node.ident == d.name:
-            sure.add(node.ident)
+    for ident, type_desc in g.nodes.items():
+        if isinstance(d, ast.Atom) and ident == d.name:
+            sure.add(ident)
             continue
-        if isinstance(d, ast.Enum) and node.ident in d.members:
-            sure.add(node.ident)
+        if isinstance(d, ast.Enum) and ident in d.members:
+            sure.add(ident)
             continue
-        v = subsumes(node.type_desc, d, ctx)
+        v = subsumes(type_desc, d, ctx)
         if is_proved(v):
-            sure.add(node.ident)
+            sure.add(ident)
         elif isinstance(v, Unknown):
-            maybe.add(node.ident)
+            maybe.add(ident)
     return sure, maybe
 
 

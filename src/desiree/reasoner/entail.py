@@ -40,7 +40,10 @@ def entails(e1, e2, ctx: ReasonerContext | None = None) -> Verdict3:
     b1, b2 = e1.body, e2.body
     if isinstance(b1, NLBody) or isinstance(b2, NLBody):
         return Unknown("natural-language body")
-    base = _body_entails(e1.kind, b1, e2.kind, b2, ctx)
+    try:
+        base = _body_entails(e1.kind, b1, e2.kind, b2, ctx)
+    except DnfOverflow:
+        return Unknown("normal form too large")
     r1 = dict(getattr(e1, "relaxations", None) or {})
     r2 = dict(getattr(e2, "relaxations", None) or {})
     if not r1 and not r2:

@@ -196,39 +196,49 @@ def translate(d: ast.Description, ctx: ReasonerContext) -> list[Conjunct]:
         return [Conjunct(cards=frozenset({(d.slot, lo, hi, d.filler)}))]
     if isinstance(d, ast.Proj):
         return [Conjunct(projs=frozenset({(d.slot, d.base)}))]
-    if isinstance(d, ast.And):
-        out = []
-        right = translate(d.right, ctx)
-        for a in translate(d.left, ctx):
-            for b in right:
-                m = _merge(a, b, ctx)
-                if m is not None:
-                    out.append(m)
-            _cap(out, ctx)
+    if isinstance(d, (ast.And, ast.Or, ast.Diff)):
+        # Folded along the left spine, left to right, so that `_cap`
+        # meets the sizes a recursive walk would.
+        d, chain = ast.left_spine(d)
+        out = translate(d, ctx)
+        for node in chain:
+            if isinstance(node, ast.And):
+                acc, out = out, []
+                right = translate(node.right, ctx)
+                for a in acc:
+                    for b in right:
+                        m = _merge(a, b, ctx)
+                        if m is not None:
+                            out.append(m)
+                    _cap(out, ctx)
+            elif isinstance(node, ast.Or):
+                out = out + translate(node.right, ctx)
+                _cap(out, ctx)
+            else:
+                out = _apply_neg(out, node.right, ctx)
         return out
-    if isinstance(d, ast.Or):
-        out = translate(d.left, ctx) + translate(d.right, ctx)
-        _cap(out, ctx)
-        return out
-    if isinstance(d, ast.Diff):
-        return _apply_neg(translate(d.left, ctx), d.right, ctx)
     raise ValueError(f"no extension for {d!r}")
 
 
 def _apply_neg(cs: list, r: ast.Description, ctx: ReasonerContext) -> list:
-    if isinstance(r, ast.Or):
-        return _apply_neg(_apply_neg(cs, r.left, ctx), r.right, ctx)
-    if isinstance(r, ast.And):
-        out = _apply_neg(cs, r.left, ctx) + _apply_neg(cs, r.right, ctx)
-        _cap(out, ctx)
-        return out
-    if isinstance(r, ast.Diff):
-        # excluding (p - q) means avoiding p or landing in q
-        out = _apply_neg(cs, r.left, ctx)
-        qs = translate(r.right, ctx)
-        out += [m for c in cs for q in qs
-                if (m := _merge(c, q, ctx)) is not None]
-        _cap(out, ctx)
+    if isinstance(r, (ast.And, ast.Or, ast.Diff)):
+        # Folded along r's left spine: an Or node excludes its right
+        # operand from what the nodes below it left, And and Diff nodes
+        # exclude theirs from cs.
+        r, chain = ast.left_spine(r)
+        out = _apply_neg(cs, r, ctx)
+        for node in chain:
+            if isinstance(node, ast.Or):
+                out = _apply_neg(out, node.right, ctx)
+            elif isinstance(node, ast.And):
+                out = out + _apply_neg(cs, node.right, ctx)
+                _cap(out, ctx)
+            else:
+                # excluding (p - q) means avoiding p or landing in q
+                qs = translate(node.right, ctx)
+                out = out + [m for c in cs for q in qs
+                             if (m := _merge(c, q, ctx)) is not None]
+                _cap(out, ctx)
         return out
     if isinstance(r, ast.Atom) and r.name in ("Nothing", "Anything"):
         return cs if r.name == "Nothing" else []

@@ -86,12 +86,18 @@ def eval_desc(d: ast.Description, interp: Interpretation) -> frozenset[int]:
         base = eval_desc(d.base, interp)
         rel = interp.slots.get(d.slot, frozenset())
         return frozenset(y for (x, y) in rel if x in base)
-    if isinstance(d, ast.And):
-        return eval_desc(d.left, interp) & eval_desc(d.right, interp)
-    if isinstance(d, ast.Or):
-        return eval_desc(d.left, interp) | eval_desc(d.right, interp)
-    if isinstance(d, ast.Diff):
-        return eval_desc(d.left, interp) - eval_desc(d.right, interp)
+    if isinstance(d, (ast.And, ast.Or, ast.Diff)):
+        d, chain = ast.left_spine(d)
+        out = eval_desc(d, interp)
+        for node in chain:
+            right = eval_desc(node.right, interp)
+            if isinstance(node, ast.And):
+                out = out & right
+            elif isinstance(node, ast.Or):
+                out = out | right
+            else:
+                out = out - right
+        return out
     raise TypeError(f"cannot evaluate {d!r}")
 
 

@@ -6,8 +6,10 @@ AttributeError. Two nodes are equal when they are of the same class and
 their fields are equal, so `Atom("x") != Var("x")` and
 `And(a, b) != Or(a, b)`. A node hashes as the tuple of its fields; each
 `__init__` computes that hash once, from its children's cached hashes,
-and keeps it in the `_hash` slot. The parser round-trip property and the
-reasoner's memo tables rely on this structural equality.
+and keeps it in the `_hash` slot. Neither hashing nor comparing a long
+chain of And, Or or Diff nodes recurses down it. The parser round-trip
+property and the reasoner's memo tables rely on this structural
+equality.
 """
 from __future__ import annotations
 
@@ -168,31 +170,41 @@ class Proj(Frozen):
         init_field(self, "_hash", hash((base, slot)))
 
 
-class And(Frozen):
-    __slots__ = ("left", "right", "_hash")
+class _Chain(Frozen):
+    """The binary operators And, Or and Diff, which the parser nests to
+    the left without bound (`A0 & A1 & … A2999`). So equality walks the
+    left spine in a loop, and rejects first on the cached hashes."""
+
+    __slots__ = ()
 
     def __init__(self, left: Description, right: Description):
         init_field(self, "left", left)
         init_field(self, "right", right)
         init_field(self, "_hash", hash((left, right)))
 
+    def __eq__(self, other):
+        a, b = self, other
+        while a.__class__ is b.__class__:
+            if a is b:
+                return True
+            if a._hash != b._hash or a.right != b.right:
+                return False
+            a, b = a.left, b.left
+            if not isinstance(a, _Chain):
+                return a == b
+        return NotImplemented if a is self else False
 
-class Or(Frozen):
+
+class And(_Chain):
     __slots__ = ("left", "right", "_hash")
 
-    def __init__(self, left: Description, right: Description):
-        init_field(self, "left", left)
-        init_field(self, "right", right)
-        init_field(self, "_hash", hash((left, right)))
 
-
-class Diff(Frozen):
+class Or(_Chain):
     __slots__ = ("left", "right", "_hash")
 
-    def __init__(self, left: Description, right: Description):
-        init_field(self, "left", left)
-        init_field(self, "right", right)
-        init_field(self, "_hash", hash((left, right)))
+
+class Diff(_Chain):
+    __slots__ = ("left", "right", "_hash")
 
 
 class Region(Frozen):
@@ -248,6 +260,18 @@ def and_parts(d: Description) -> list[Description]:
         else:
             out.append(node)
     return out
+
+
+def left_spine(d: Description) -> tuple[Description, list[Description]]:
+    """A chain of And, Or and Diff nodes nested to the left, as its
+    innermost left operand and the nodes above it, innermost first: a
+    loop over them meets the operands left to right."""
+    nodes = []
+    while isinstance(d, _Chain):
+        nodes.append(d)
+        d = d.left
+    nodes.reverse()
+    return d, nodes
 
 
 def walk(d: Description):

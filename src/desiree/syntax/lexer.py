@@ -15,8 +15,7 @@ token's 1-based line and column come from its offset, a NUMBER's value
 is `Fraction(text)`, a STRING's value is its unescaped body, and the two
 glue flags of a symbol say whether the characters beside it are not
 whitespace. Glue is how the parser tells projection dots (`F1.object`)
-from declaration terminators (`... .`). Indexing or iterating a `Tokens`
-builds the `Token` objects.
+from declaration terminators (`... .`).
 
 Whitespace is exactly space, tab, carriage return and newline. An
 identifier starts with a character for which `str.isalpha()` holds, or
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Sequence
 from fractions import Fraction
 
 from desiree.diagnostics import Span
@@ -74,56 +72,12 @@ class LexError(Exception):
         self.message = message
 
 
-class Token:
-    """One token: kind, text, span, value (a Fraction for NUMBER, the
-    unescaped str for STRING, the name for VAR) and the two glue flags.
-
-    `span` may be given as a Span or any (line, col) pair. The lexer
-    makes no Token objects; `Tokens` builds them when it is indexed.
-    """
-
-    __slots__ = ("kind", "text", "_line", "_col", "value", "glued_left",
-                 "glued_right")
-
-    def __init__(self, kind: str, text: str, span: tuple[int, int],
-                 value: object = None, glued_left: bool = False,
-                 glued_right: bool = False):
-        self.kind = kind
-        self.text = text
-        self._line, self._col = span
-        self.value = value
-        self.glued_left = glued_left
-        self.glued_right = glued_right
-
-    @property
-    def span(self) -> Span:
-        return Span(self._line, self._col)
-
-    def _astuple(self) -> tuple:
-        return (self.kind, self.text, self._line, self._col, self.value,
-                self.glued_left, self.glued_right)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Token:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return (f"Token(kind={self.kind!r}, text={self.text!r}, "
-                f"span={self.span!r}, value={self.value!r}, "
-                f"glued_left={self.glued_left!r}, "
-                f"glued_right={self.glued_right!r})")
-
-    def is_sym(self, s: str) -> bool:
-        return self.kind == SYM and self.text == s
-
-
-class Tokens(Sequence):
+class Tokens:
     """A lexed text: flat parallel lists of kinds, texts and offsets,
     ending with one EOF token.
 
     `span`, `value` and `glued` read one token's other fields from the
-    text; indexing builds a `Token` from them.
+    text; `len` counts the tokens.
     """
 
     def __init__(self, source: str, kinds: list[str], texts: list[str],
@@ -173,12 +127,6 @@ class Tokens(Sequence):
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self.kinds))[i]  # a negative i counts from the end
-        return Token(self.kinds[i], self.texts[i], self.span(i),
-                     self.value(i), *self.glued(i))
 
 
 def tokenize(text: str) -> Tokens:

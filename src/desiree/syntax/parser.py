@@ -64,9 +64,9 @@ REGION_SLOTS = ("has_value_in",)
 
 # Deepest nesting of parentheses and slot fillers a description may have.
 # Deeper input is rejected with E-PARSE-003, which keeps nested input within
-# Python's recursion limit. It does not bound a flat chain such as
-# `A0 & A1 & … A2999`: hashing a node, the normaliser and the evaluator
-# still recurse down its And spine and can raise RecursionError.
+# Python's recursion limit. A flat chain such as `A0 & A1 & … A2999`
+# nests nothing and has no bound: hashing, comparing, normalising and
+# evaluating a description walk the left spine of a chain in a loop.
 MAX_NESTING = 64
 
 
@@ -654,11 +654,9 @@ def _trim_unit(unit: str | None) -> str | None:
 # Public entry points.
 
 
-def parse_description(source: str | Tokens, allow_var: bool = False) -> ast.Description:
-    """Parse a single description, given as text or as `tokenize(text)`;
-    raises ParseError / LexError."""
-    tokens = tokenize(source) if isinstance(source, str) else source
-    p = _Parser(tokens, allow_var=allow_var)
+def parse_description(text: str, allow_var: bool = False) -> ast.Description:
+    """Parse a single description; raises ParseError / LexError."""
+    p = _Parser(tokenize(text), allow_var=allow_var)
     d = p.parse_description()
     if p.kinds[p.pos] != EOF:
         raise ParseError(p.span(p.pos), f"unexpected trailing input: {p.text(p.pos)!r}")

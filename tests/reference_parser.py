@@ -2,7 +2,8 @@
 replaced, kept as the reference for the differential tests in
 `test_parser_reference.py`.
 
-It reads a list of `Token` objects through a `cur` property and keeps
+It reads a list of `Token` records (made from the lexer's flat lists by
+`token_list`) through a `cur` property and keeps
 one method per precedence level (`_diff`, `_or`, `_and`). It has one
 known fault, kept on purpose: `expect_colon` splits a glued `:<` by
 writing a `<` token into the list, and when the quality-form probe in
@@ -11,6 +12,7 @@ writing a `<` token into the list, and when the quality-form probe in
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from desiree.diagnostics import (
     Diagnostic,
@@ -29,7 +31,7 @@ from desiree.syntax.lexer import (
     SYM,
     VAR,
     LexError,
-    Token,
+    Tokens,
     tokenize,
 )
 from desiree.syntax.parser import (
@@ -63,6 +65,29 @@ from desiree.syntax.parser import (
 
 
 _DESC_START_SYMS = ("<", "{", "(", "[", "<=", ">=", "::")
+
+
+class Token(NamedTuple):
+    """One token: kind, text, span, value (a Fraction for NUMBER, the
+    unescaped str for STRING, the name for VAR) and the two glue flags."""
+
+    kind: str
+    text: str
+    span: Span
+    value: object = None
+    glued_left: bool = False
+    glued_right: bool = False
+
+    def is_sym(self, s: str) -> bool:
+        return self.kind == SYM and self.text == s
+
+
+def token_list(tokens: Tokens) -> list[Token]:
+    """The tokens of a lexed text, read through the same `Tokens` methods
+    the parser calls."""
+    return [Token(tokens.kinds[i], tokens.texts[i], tokens.span(i),
+                  tokens.value(i), *tokens.glued(i))
+            for i in range(len(tokens))]
 
 
 class _Parser:
@@ -449,10 +474,9 @@ def _trim_unit(unit: str | None) -> str | None:
 # Public entry points.
 
 
-def parse_description(source: str | list[Token], allow_var: bool = False) -> ast.Description:
+def parse_description(text: str, allow_var: bool = False) -> ast.Description:
     """Parse a single description; raises ParseError / LexError."""
-    tokens = list(tokenize(source) if isinstance(source, str) else source)
-    p = _Parser(tokens, allow_var=allow_var)
+    p = _Parser(token_list(tokenize(text)), allow_var=allow_var)
     d = p.parse_description()
     if p.cur.kind != EOF:
         raise ParseError(p.cur.span, f"unexpected trailing input: {p.cur.text!r}")
@@ -464,7 +488,7 @@ def parse_model_file(text: str) -> ModelFileAst:
     partial AST on declaration-level errors."""
     out = ModelFileAst()
     try:
-        tokens = list(tokenize(text))
+        tokens = token_list(tokenize(text))
     except LexError as e:
         out.diagnostics.append(Diagnostic(ERROR, "E-LEX-001", e.span, e.message))
         return out

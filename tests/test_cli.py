@@ -260,6 +260,82 @@ def test_long_chain_formats_and_exports(capsys, tmp_path, op):
     assert json.loads(out)["elements"][0]["body"] == joint.join(terms)
 
 
+def chain(op: str, n: int = 3000) -> str:
+    return op.join(f"A{i}" for i in range(n))
+
+
+# name -> (model text, query text); every claim is checked on load
+FLAT_CHAINS = {
+    f"{name} chain under a claim": (
+        f"goal G1 = {chain(op)}.\ngoal G2 = {chain(op)}{op}B.\n" + CLAIM,
+        "A0")
+    for name, op in (("&", " & "), ("|", " | "), ("-", " - "))
+}
+FLAT_CHAINS["equal chains built apart"] = (
+    f"goal G1 = {chain(' & ')}.\ngoal G2 = {chain(' & ')}.\n"
+    "reduce(G1) [e] = {G2}.\n", "A0")
+FLAT_CHAINS["| chain as the query"] = ("goal G1 = A.\ngoal G2 = B.\n",
+                                      chain(" | "))
+
+
+@pytest.mark.parametrize("name", FLAT_CHAINS)
+def test_flat_chains_stay_in_the_exit_contract(capsys, tmp_path, name):
+    # Normalising, evaluating, comparing and querying a chain walk its
+    # left spine in a loop, so its length is not bounded by recursion.
+    text, query = FLAT_CHAINS[name]
+    f = tmp_path / "chain.dsr"
+    f.write_text(text)
+    for argv in (["check", str(f)], ["stats", str(f)], ["export", str(f)],
+                 ["entail", str(f), "G1", "G2"],
+                 ["entail", str(f), "G2", "G1"], ["query", str(f), query]):
+        first = run(capsys, *argv)
+        assert first[0] in (0, 1), argv
+        assert "internal error:" not in first[2], argv
+        assert run(capsys, *argv) == first, argv
+
+
+def _alternatives(n: int, *extra: str) -> str:
+    return " | ".join([f"A{i}" for i in range(n)] + list(extra))
+
+
+# name -> (model text, max-dnf flag)
+WIDE_FILLERS = {
+    "function filler past the cap": (
+        f"f F1 = V <s: {_alternatives(17)}>.\n"
+        f"f F2 = V <s: {_alternatives(17, 'B')}>.\n"
+        "reduce(F1) [s] = {F2}.\n", []),
+    "quality subject past the cap": (
+        f"qg Q1 = Speed ({_alternatives(17)}) :: Fast.\n"
+        f"qg Q2 = Speed ({_alternatives(17)}) :: Fast.\n"
+        "reduce(Q1) [s] = {Q2}.\n", []),
+    "function filler past a cap of 2": (
+        f"f F1 = V <s: {_alternatives(3)}>.\n"
+        f"f F2 = V <s: {_alternatives(3, 'B')}>.\n"
+        "reduce(F1) [s] = {F2}.\n", ["--max-dnf", "2"]),
+}
+
+
+@pytest.mark.parametrize("name", WIDE_FILLERS)
+def test_normal_form_overflow_in_entailment_is_unknown(capsys, tmp_path,
+                                                       name):
+    # Function and quality entailment read the structural prover alone;
+    # a normal form past the cap leaves the claim undecided, with why.
+    text, flags = WIDE_FILLERS[name]
+    f = tmp_path / "wide.dsr"
+    f.write_text(text)
+    warning = ("warning: W-UNK-001 3:1 claimed [s] was not decided: "
+               "normal form too large\n")
+    first, second = ("Q1", "Q2") if "quality" in name else ("F1", "F2")
+    assert run(capsys, "check", *flags, str(f)) == (
+        0, warning + "0 errors, 1 warnings, 0 inconsistencies\n", "")
+    for argv in (["stats", *flags, str(f)], ["export", *flags, str(f)],
+                 ["query", *flags, str(f), "V"]):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, warning), argv
+    assert run(capsys, "entail", *flags, str(f), first, second) == (
+        0, "Unknown: normal form too large\n", warning)
+
+
 def test_non_decimal_digit_is_a_lexical_error(capsys, tmp_path):
     # `²` is a digit to str.isdigit() but not to Fraction.
     f = tmp_path / "sup.dsr"

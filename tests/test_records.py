@@ -63,8 +63,6 @@ FROZEN = [
     (syn.ObserveSyntax, dict(observer=A)),
     (syn.ApplicationDecl, dict(op="reduce", inputs=("G1",), args=None,
                                strength="s", outputs=("G2",), span=SPAN)),
-    (query.Fact, dict(subject="F1", relation="actor", object="User",
-                      source="F1")),
     (consistency.Clash, dict(anchor="x", pair=("A", "B"),
                              chains=("x: A", "x: B"), fact="F1")),
     (consistency._OnlyRule, dict(owner="A", slot="s", fillers=("B",),
@@ -80,8 +78,7 @@ MUTABLE = [
     (syn.ModelFileAst, dict(declarations=[], diagnostics=[])),
     (Diagnostic, dict(severity="Error", code="E-PARSE-001", span=SPAN,
                       message="bad")),
-    (query.Node, dict(ident="F1", type_desc=A)),
-    (query.FactGraph, dict(nodes={}, facts=[], edges={}, regions={})),
+    (query.FactGraph, dict(nodes={}, edges={}, regions={})),
     (query.QueryResult, dict(sure=["F1"], tentative=[], diagnostics=[])),
     (model.Element, dict(kind="goal", ident="G1", body=syn.NLBody("t"),
                          span=SPAN, origin="declared", relaxations={},
