@@ -7,6 +7,15 @@ types by structural subsumption, so axioms sharpen query answers the
 same way they sharpen entailment. Matching is three-valued: a node is
 in the answer only on a Proved match, and Unknown matches are kept
 aside as tentative for lenient callers.
+
+Evaluation is demand-driven: each subquery gets the set of candidate
+nodes on which its caller reads the result, and is exact there only.
+The whole query's candidates are all nodes; a slot's filler gets the
+targets of that relation's edges from the slot's candidates, a
+projection's base the subjects with a target among them, the right
+side of `&` and `-` the left side's possible answers, and the right
+side of `|` the nodes the left does not surely answer. So an atom is
+matched against a node only where the match can change the answer.
 """
 
 from __future__ import annotations
@@ -169,17 +178,27 @@ def eval_query(model, desc: ast.Description,
                graph: FactGraph | None = None) -> QueryResult:
     g = graph if graph is not None else extract_facts(model)
     diags: list[Diagnostic] = []
-    sure, maybe = _eval(g, desc, model.context(), diags)
+    sure, maybe = _eval(g, desc, model.context(), diags, set(g.nodes))
     return QueryResult(sorted(sure), sorted(maybe - sure), diags)
 
 
-def _eval(g, d, ctx, diags):
-    """Evaluate to (sure, maybe) node-id sets."""
+def _eval(g, d, ctx, diags, cand):
+    """Evaluate to (sure, maybe) node-id sets, exact on the nodes in `cand`.
+
+    A node outside `cand` may be missing from either set or wrongly in
+    one, so callers read the result on `cand` only. An operand whose
+    candidates are empty is still walked, for its diagnostics.
+    """
     if isinstance(d, (ast.And, ast.Or, ast.Diff)):
         d, chain = ast.left_spine(d)
-        s1, m1 = _eval(g, d, ctx, diags)
+        s1, m1 = _eval(g, d, ctx, diags, cand)
         for node in chain:
-            s2, m2 = _eval(g, node.right, ctx, diags)
+            # A union reads its right side only where the left is not
+            # sure; an intersection or difference only where the left
+            # may hold.
+            right = (cand - s1 if isinstance(node, ast.Or)
+                     else (s1 | m1) & cand)
+            s2, m2 = _eval(g, node.right, ctx, diags, right)
             if isinstance(node, ast.And):
                 sure = s1 & s2
                 s1, m1 = sure, ((s1 | m1) & (s2 | m2)) - sure
@@ -191,17 +210,19 @@ def _eval(g, d, ctx, diags):
                 s1, m1 = sure, (s1 | m1) - s2 - sure
         return s1, m1
     if isinstance(d, ast.Slot):
-        return _eval_slot(g, d, ctx, diags)
+        return _eval_slot(g, d, ctx, diags, cand)
     if isinstance(d, ast.Proj):
-        return _eval_proj(g, d, ctx, diags)
+        return _eval_proj(g, d, ctx, diags, cand)
     if isinstance(d, (ast.Atom, ast.Enum)):
-        return _match_nodes(g, d, ctx)
+        return _match_nodes(g, d, ctx, cand)
     return set(), set()  # regions and variables name no nodes directly
 
 
-def _match_nodes(g, d, ctx):
+def _match_nodes(g, d, ctx, cand):
     sure, maybe = set(), set()
     for ident, type_desc in g.nodes.items():
+        if ident not in cand:
+            continue
         if isinstance(d, ast.Atom) and ident == d.name:
             sure.add(ident)
             continue
@@ -229,15 +250,19 @@ def _query_bounds(mod: ast.CardModifier):
     return ast.modifier_bounds(mod)
 
 
-def _eval_slot(g, d, ctx, diags):
+def _eval_slot(g, d, ctx, diags, cand):
     if d.slot == "has_value_in":
         return _eval_region_slot(g, d, ctx)
     if d.slot not in g.relations:
         _unknown_relation(diags, d.slot)
         return set(), set()
-    f_sure, f_maybe = _eval(g, d.filler, ctx, diags)
+    edges = {subject: targets
+             for subject, targets in g.edges.get(d.slot, {}).items()
+             if subject in cand}
+    f_sure, f_maybe = _eval(g, d.filler, ctx, diags,
+                            {t for targets in edges.values() for t in targets})
     sure, maybe = set(), set()
-    for subject, targets in g.edges.get(d.slot, {}).items():
+    for subject, targets in edges.items():
         n_sure = sum(t in f_sure for t in targets)
         n_poss = sum(t in f_sure or t in f_maybe for t in targets)
         if isinstance(d.modifier, ast.Only):
@@ -280,13 +305,16 @@ def _eval_region_slot(g, d, ctx):
     return sure, maybe
 
 
-def _eval_proj(g, d, ctx, diags):
+def _eval_proj(g, d, ctx, diags, cand):
     if d.slot not in g.relations:
         _unknown_relation(diags, d.slot)
         return set(), set()
-    base_sure, base_maybe = _eval(g, d.base, ctx, diags)
+    edges = {subject: targets
+             for subject, targets in g.edges.get(d.slot, {}).items()
+             if any(t in cand for t in targets)}
+    base_sure, base_maybe = _eval(g, d.base, ctx, diags, set(edges))
     sure, maybe = set(), set()
-    for subject, targets in g.edges.get(d.slot, {}).items():
+    for subject, targets in edges.items():
         if subject in base_sure:
             sure.update(targets)
         elif subject in base_maybe:

@@ -84,3 +84,58 @@ def descriptions(max_depth: int = 3):
         )
 
     return st.recursive(st.one_of(atoms, enums), extend, max_leaves=8)
+
+
+def graph_queries(graph, max_leaves: int = 8):
+    """Queries in the vocabulary of one fact graph.
+
+    Atoms and one-member enumerations name its nodes; slots and
+    projections use its relations, forward, inverse and built-in, and
+    the unknown relation `bogus`, and often name a node at the far end
+    of one of the relation's edges; `has_value_in` asks for the regions
+    the graph declares or a drawn one; `&`, `|` and `-` come as chains
+    of up to four operands.
+    """
+    names = st.sampled_from(sorted(graph.nodes))
+    relations = st.sampled_from(sorted(graph.relations) + ["bogus"])
+    declared = sorted({r for rs in graph.regions.values() for r in rs},
+                      key=repr)
+    region_fillers = st.one_of(st.sampled_from(declared),
+                               regions).map(ast.Region)
+    operators = st.sampled_from((ast.And, ast.Or, ast.Diff))
+
+    def chain(first, rest):
+        for op, right in rest:
+            first = op(first, right)
+        return first
+
+    def near(children, ends):
+        ends = sorted(ends)
+        if not ends:
+            return children
+        return st.one_of(children, st.sampled_from(ends).map(ast.Atom))
+
+    def slot(children, relation):
+        by_subject = graph.edges.get(relation, {})
+        targets = {t for ts in by_subject.values() for t in ts}
+        return st.builds(ast.Slot, st.just(relation), modifiers,
+                         near(children, targets))
+
+    def proj(children, relation):
+        return near(children, graph.edges.get(relation, {})).map(
+            lambda base: ast.Proj(base, relation))
+
+    def extend(children):
+        return st.one_of(
+            relations.flatmap(lambda r: slot(children, r)),
+            st.builds(ast.Slot, st.just("has_value_in"),
+                      st.just(ast.ExactlyOne()), region_fillers),
+            relations.flatmap(lambda r: proj(children, r)),
+            st.builds(chain, children,
+                      st.lists(st.tuples(operators, children),
+                               min_size=1, max_size=3)),
+        )
+
+    leaves = st.one_of(names.map(ast.Atom),
+                       names.map(lambda n: ast.Enum((n,))))
+    return st.recursive(leaves, extend, max_leaves=max_leaves)

@@ -492,6 +492,21 @@ def test_query_unknown_relation_is_an_error(capsys):
     assert "E-QRY-001" in err
 
 
+@pytest.mark.parametrize("text", [
+    "Nothing & <bogus: A>",
+    "<actor: <bogus: A>>",
+    # No node is a candidate for the right side here: nothing has an
+    # actor under Nothing. The slot is still read for its diagnostic.
+    "<actor: Nothing> & <bogus: A>",
+    "<actor: Nothing> & <actor: <bogus: A>>",
+])
+def test_query_unknown_relation_in_a_narrowed_operand(capsys, text):
+    code, out, err = run(capsys, "query", CORPUS, text)
+    assert code == 1
+    assert out == ""
+    assert err.count("unknown relation 'bogus' in query") == 1
+
+
 # ---------------------------------------------------------------------------
 # stats
 

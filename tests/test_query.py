@@ -1,20 +1,27 @@
 """Fact extraction and interrelation queries over the worked corpus."""
 
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import desiree.query
+import reference_query
 from desiree.model import load_model
 from desiree.query import eval_query, extract_facts, run_query
 from desiree.syntax import ast
 from desiree.syntax.parser import parse_description
 
-from gen_strategies import descriptions, slot_names
+from gen_strategies import descriptions, graph_queries, slot_names
 
-CORPUS = (resources.files("desiree") / "corpus"
-          / "meeting_scheduler.dsr").read_text()
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import CORPUS_QUERIES  # noqa: E402
+
+CORPUS_DIR = resources.files("desiree") / "corpus"
+CORPUS = (CORPUS_DIR / "meeting_scheduler.dsr").read_text()
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +224,87 @@ def test_adding_a_slot_never_enlarges_answers(model, graph, q, slot, filler):
     assert set(narrowed.sure) <= set(base.sure)
     assert set(narrowed.sure) | set(narrowed.tentative) <= (
         set(base.sure) | set(base.tentative))
+
+
+# ---------------------------------------------------------------------------
+# Demand: atoms are matched only where the answer can still change.
+
+
+@pytest.fixture
+def matched(monkeypatch):
+    """The node types the query evaluator asks `subsumes` about."""
+    asked = []
+    subsumes = desiree.query.subsumes
+
+    def counting(sub, sup, ctx):
+        asked.append(sub)
+        return subsumes(sub, sup, ctx)
+
+    monkeypatch.setattr(desiree.query, "subsumes", counting)
+    return asked
+
+
+def test_slot_filler_is_matched_on_edge_targets_only(model, graph, matched):
+    assert sure(model, "<actor: User>") == ["F1", "F_add", "F_bookr",
+                                            "F_reserve"]
+    targets = {t for ts in graph.edges["actor"].values() for t in ts}
+    # `User` itself is answered by name, without a match.
+    assert sorted(map(repr, matched)) == sorted(
+        repr(graph.nodes[t]) for t in targets - {"User"})
+
+
+def test_corpus_queries_ask_few_node_matches(model, graph, matched):
+    for query, _proved, _holds in CORPUS_QUERIES:
+        eval_query(model, parse_description(query), graph)
+    # Matching every atom against all 30 nodes asked 647.
+    assert len(matched) <= 209
+
+
+@pytest.mark.parametrize("text, answers", [
+    # A projection's base is asked about each subject with some target
+    # among the left side's possible answers, also when its other
+    # targets are not: User here, the_system below.
+    ("<target: {the_system}> & User.is_actor_of", ["F1"]),
+    ("Security & the_system.has_quality", ["Security@the_system"]),
+    # A union's right side is asked wherever the left is not sure, so
+    # also where the left is tentative (the clash puts F1 under Nothing).
+    ("Nothing | F1", ["F1"]),
+])
+def test_narrowed_operands_answer_as_the_reference(model, graph, text,
+                                                   answers):
+    q = parse_description(text)
+    got = eval_query(model, q, graph)
+    want = reference_query.eval_query(model, q, graph)
+    assert got.sure == want.sure == answers
+    assert got.tentative == want.tentative
+
+
+@pytest.fixture(scope="module", params=["meeting_scheduler.dsr",
+                                        "meeting_scheduler_clean.dsr"])
+def corpus(request):
+    m = load_model((CORPUS_DIR / request.param).read_text())
+    g = extract_facts(m)
+    return m, g, graph_queries(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_demand_driven_evaluation_matches_the_reference(corpus, data):
+    m, g, queries = corpus
+    q = data.draw(queries)
+    got = eval_query(m, q, g)
+    want = reference_query.eval_query(m, q, g)
+    assert (got.sure, got.tentative, got.diagnostics) == (
+        want.sure, want.tentative, want.diagnostics)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_result_is_exact_on_its_candidate_set(corpus, data):
+    m, g, queries = corpus
+    q = data.draw(queries)
+    cand = data.draw(st.sets(st.sampled_from(sorted(g.nodes))))
+    ctx = m.context()
+    got = desiree.query._eval(g, q, ctx, [], cand)
+    want = reference_query._eval(g, q, ctx, [])
+    assert [r & cand for r in got] == [r & cand for r in want]
