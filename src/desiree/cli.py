@@ -220,8 +220,12 @@ def cmd_fmt(args) -> int:
         return 1
     formatted = render_model_file(tree)
     if args.write:
-        with open(args.file, "w", encoding="utf-8") as fh:
-            fh.write(formatted)
+        try:
+            with open(args.file, "w", encoding="utf-8") as fh:
+                fh.write(formatted)
+        except OSError as err:
+            raise UsageError(
+                f"{E_IO} cannot write {args.file}: {err.strerror}")
     else:
         sys.stdout.write(formatted)
     return 0

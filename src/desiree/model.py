@@ -493,51 +493,36 @@ def _construct(m, app, prim, fail):
              f"{app.op} produces {need} element(s), got {len(app.outputs)}")
         return None
 
-    if app.op == "deuniversalize":
-        _check_reserved(m, app.args.pattern, app.span)
-        try:
-            relaxations = ops.relax(prim.relaxations, app.args)
-        except ops.OperatorError as err:
-            fail(err.code, err.message)
-            return None
-        body = prim.body
-        out_kind = prim.kind
-        built = [(body, relaxations)]
-    else:
-        if not isinstance(prim.body, QualityBody):
-            fail(E_SIG_KIND,
-                 f"{app.op} needs a measured quality body on {prim.ident}")
-            return None
-        if app.op == "observe":
+    if app.op != "deuniversalize" and not isinstance(prim.body, QualityBody):
+        fail(E_SIG_KIND,
+             f"{app.op} needs a measured quality body on {prim.ident}")
+        return None
+    out_kind = prim.kind
+    try:
+        if app.op == "deuniversalize":
+            _check_reserved(m, app.args.pattern, app.span)
+            built = [(prim.body, ops.relax(prim.relaxations, app.args))]
+        elif app.op == "observe":
             _check_reserved(m, app.args.observer, app.span)
             body = ops.observe_output(prim.body, app.args.observer)
             out_kind = "qc"
             built = [(body, dict(prim.relaxations))]
         elif app.op == "focus":
-            try:
-                bodies, _ = ops.focus_outputs(prim.body, app.args,
-                                              m.hierarchy)
-            except ops.OperatorError as err:
-                fail(err.code, err.message)
-                return None
-            out_kind = prim.kind
+            bodies, _ = ops.focus_outputs(prim.body, app.args, m.hierarchy)
             built = [(b, dict(prim.relaxations)) for b in bodies]
         else:  # scaleup / scaledown
             direction = "up" if app.op == "scaleup" else "down"
-            try:
-                region, implied = ops.scale_region(prim.body.region,
-                                                   app.args, direction,
-                                                   m.factors)
-            except ops.OperatorError as err:
-                fail(err.code, err.message)
-                return None
+            region, implied = ops.scale_region(prim.body.region, app.args,
+                                               direction, m.factors)
             body = QualityBody(prim.body.quality, prim.body.subject,
                                region, prim.body.observer)
-            out_kind = prim.kind
             built = [(body, dict(prim.relaxations))]
             if implied is not None:
                 m.axioms.append(implied)
                 m.invalidate()
+    except ops.OperatorError as err:
+        fail(err.code, err.message)
+        return None
 
     outs = []
     for ident, (body, relaxations) in zip(app.outputs, built):

@@ -16,6 +16,7 @@ every step back to the axiom, assumption, or element that caused it.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from ..records import Frozen, init_field
@@ -40,59 +41,57 @@ class Clash(Frozen):
                 f"{self.pair[1]}{where}: {self.chains[0]} | {self.chains[1]}")
 
 
-class _OnlyRule(Frozen):
-    __slots__ = ("owner", "slot", "fillers", "label")
-
-    def __init__(self, owner: str, slot: str, fillers: tuple[str, ...],
-                 label: str):
-        init_field(self, "owner", owner)
-        init_field(self, "slot", slot)
-        init_field(self, "fillers", fillers)
-        init_field(self, "label", label)
-
-
 def _harvest(sources):
-    """Super-edges and universal role restrictions, both labeled."""
+    """Super-edges, the same edges reversed, and universal role
+    restrictions keyed by (owner, slot) as (source position, owner,
+    fillers, label), all labeled."""
     edges: dict[str, list[tuple[str, str]]] = {}
-    onlys: list[_OnlyRule] = []
-    for label, lhs, rhs in sources:
+    down: dict[str, list[tuple[str, str]]] = {}
+    onlys: dict[tuple[str, str], list[tuple]] = {}
+    for at, (label, lhs, rhs) in enumerate(sources):
         if not isinstance(lhs, ast.Atom) or lhs.name in _RESERVED:
             continue
         for part in ast.and_parts(rhs):
             if isinstance(part, ast.Atom) and part.name not in _RESERVED:
                 edges.setdefault(lhs.name, []).append((part.name, label))
+                down.setdefault(part.name, []).append((lhs.name, label))
             elif (isinstance(part, ast.Slot)
                   and isinstance(part.modifier, ast.Only)):
                 fillers = tuple(
                     p.name for p in ast.and_parts(part.filler)
                     if isinstance(p, ast.Atom) and p.name not in _RESERVED)
                 if fillers:
-                    onlys.append(_OnlyRule(lhs.name, part.slot, fillers,
-                                           label))
-    return edges, onlys
+                    onlys.setdefault((lhs.name, part.slot), []).append(
+                        (at, lhs.name, fillers, label))
+    return edges, down, onlys
 
 
-def _closure(seeds: dict[str, tuple[str, ...]], edges):
-    """Reachable superclasses with the rendered step list leading there.
+def _closure(seeds, edges):
+    """Each class reachable from the seeds, mapped to the (class, label)
+    step that first reached it, or None for a seed.
 
     Not the prover's `told` table, which would change the clashes: this
     reads every active subsumption-form element, not only assumptions,
     splits right sides with `and_parts` and labels each step."""
-    reached = dict(seeds)
-    queue = deque(seeds)
+    reached = dict.fromkeys(seeds)
+    queue = deque(reached)
     while queue:
         a = queue.popleft()
         for parent, label in edges.get(a, ()):
             if parent not in reached:
-                reached[parent] = reached[a] + (f"{a} :< {parent} ({label})",)
+                reached[parent] = (a, label)
                 queue.append(parent)
     return reached
 
 
-def _render_chain(anchor: str, steps: tuple[str, ...]) -> str:
-    if not steps:
-        return f"{anchor} itself"
-    return "; ".join(steps)
+def _steps(reached, cls) -> list[str]:
+    """The rendered steps from a seed of `reached` up to cls."""
+    steps = []
+    while reached[cls] is not None:
+        a, label = reached[cls]
+        steps.append(f"{a} :< {cls} ({label})")
+        cls = a
+    return steps[::-1]
 
 
 def check_consistency(sources, disjoints, facts) -> list[Clash]:
@@ -102,23 +101,28 @@ def check_consistency(sources, disjoints, facts) -> list[Clash]:
     subsumption-form elements. disjoints: pairs of class names. facts:
     (label, description) for active function elements.
     """
-    edges, onlys = _harvest(sources)
+    edges, down, onlys = _harvest(sources)
     pairs = [(a, b) for a, b in disjoints]
     found: dict[tuple[str, tuple[str, str]], Clash] = {}
+    # One closure per seed tuple for the length of the call.
+    up = functools.cache(lambda *seeds: _closure(seeds, edges))
 
-    def record(anchor, classes, fact=None):
-        for a, b in pairs:
-            if a in classes and b in classes:
-                key = (anchor, (a, b))
-                if key not in found:
-                    found[key] = Clash(
-                        anchor, (a, b),
-                        (_render_chain(anchor, classes[a]),
-                         _render_chain(anchor, classes[b])),
-                        fact)
+    def record(anchor, routes, fact=None):
+        # routes: (rendered head, closure); the first holding a class wins.
+        for pair in pairs:
+            hits = (anchor, pair) not in found and [
+                next((r for r in routes if cls in r[1]), None) for cls in pair]
+            if hits and None not in hits:
+                found[anchor, pair] = Clash(anchor, pair, tuple(
+                    "; ".join(head + _steps(reached, cls))
+                    or f"{anchor} itself"
+                    for cls, (head, reached) in zip(pair, hits)), fact)
 
-    for atom in sorted(edges):
-        record(atom, _closure({atom: ()}, edges))
+    # Only a class below both sides of a pair can be squeezed by them.
+    below = {c: _closure((c,), down) for pair in pairs for c in pair}
+    for atom in sorted(edges.keys() & set().union(
+            *(below[a].keys() & below[b].keys() for a, b in pairs))):
+        record(atom, [([], up(atom))])
 
     for fact_label, desc in facts:
         parts = ast.and_parts(desc)
@@ -126,30 +130,25 @@ def check_consistency(sources, disjoints, facts) -> list[Clash]:
                  if isinstance(p, ast.Atom) and p.name not in _RESERVED]
         if not verbs:
             continue
-        verb_classes = _closure({v: () for v in verbs}, edges)
+        verb_classes = up(*verbs)
         for part in parts:
-            if not isinstance(part, ast.Slot):
+            if (not isinstance(part, ast.Slot)
+                    or isinstance(part.modifier, ast.Only)
+                    or ast.modifier_bounds(part.modifier)[0] < 1):
                 continue
-            if isinstance(part.modifier, ast.Only):
-                continue
-            lo, _ = ast.modifier_bounds(part.modifier)
-            if lo < 1:
-                continue
-            filler_atoms = [p.name for p in ast.and_parts(part.filler)
-                            if isinstance(p, ast.Atom)
-                            and p.name not in _RESERVED]
-            for anchor in filler_atoms:
-                classes = _closure({anchor: ()}, edges)
-                for rule in onlys:
-                    if rule.slot != part.slot or rule.owner not in verb_classes:
-                        continue
-                    prefix = verb_classes[rule.owner] + (
-                        f"the {part.slot} of {fact_label} must fall under "
-                        f"{' and '.join(rule.fillers)} "
-                        f"(ONLY {part.slot} on {rule.owner}, {rule.label})",)
-                    for g in rule.fillers:
-                        for cls, steps in _closure({g: prefix}, edges).items():
-                            classes.setdefault(cls, steps)
-                record(anchor, classes, fact_label)
+            # The ONLY rules on the verbs' classes, in source order.
+            rules = sorted((rule for owner in verb_classes
+                            for rule in onlys.get((owner, part.slot), ())),
+                           key=lambda rule: rule[0])
+            routes = []
+            for _, owner, fillers, label in rules:
+                head = _steps(verb_classes, owner) + [
+                    f"the {part.slot} of {fact_label} must fall under "
+                    f"{' and '.join(fillers)} "
+                    f"(ONLY {part.slot} on {owner}, {label})"]
+                routes += [(head, up(g)) for g in fillers]
+            for p in ast.and_parts(part.filler):
+                if isinstance(p, ast.Atom) and p.name not in _RESERVED:
+                    record(p.name, [([], up(p.name))] + routes, fact_label)
 
     return sorted(found.values(), key=lambda c: (c.anchor, c.pair))

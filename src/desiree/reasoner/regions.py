@@ -86,10 +86,12 @@ def build_grid(nums: set[Fraction], lits: set[str],
             if i + 1 < len(ordered):
                 points.append((v + ordered[i + 1]) / 2)
         points.append(ordered[-1] + 1)
-    for lit in sorted(lits):
-        points.append(lit)
+    points += sorted(lits)
     if lits:
-        points.append("__other__")
+        fresh = "__other__"
+        while fresh in lits:
+            fresh += "_"
+        points.append(fresh)
     if not points and need_slack:
         points.append(Fraction(0))
     return tuple(points)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 
 from ..syntax import ast
-from ..syntax.parser import DescBody, NLBody, QualityBody, SubsumptionBody
+from ..syntax.parser import DescBody, NLBody
 from .entail import entails
 from .normal import ReasonerContext
 from .subsume import subsumes
@@ -63,14 +63,6 @@ def admissible_strengths(op: str, *, pct: Fraction | None = None,
     return _TABLE[op]
 
 
-def _same_form(b1, b2) -> bool:
-    """Bodies are comparable when they share a syntactic form."""
-    for form in (DescBody, QualityBody, SubsumptionBody):
-        if isinstance(b1, form) and isinstance(b2, form):
-            return True
-    return False
-
-
 def verify_claim(strength: str, input_elem, outputs,
                  ctx: ReasonerContext) -> tuple[str, str | None]:
     """Check a strength claim for a single-input application.
@@ -84,7 +76,7 @@ def verify_claim(strength: str, input_elem, outputs,
     if isinstance(input_elem.body, NLBody) or any(
             isinstance(o.body, NLBody) for o in outs):
         return ASSERTED, "natural-language body"
-    if not all(_same_form(input_elem.body, o.body) for o in outs):
+    if not all(type(input_elem.body) is type(o.body) for o in outs):
         return ASSERTED, "bodies of different forms are not comparable"
     if strength == "s":
         return _strengthening(input_elem, outs, ctx)

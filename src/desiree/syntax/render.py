@@ -39,8 +39,9 @@ def _quote(name: str) -> str:
 
 def render_region(r: ast.RegionExpr) -> str:
     """Render a region in region context (bare named regions allowed)."""
-    if isinstance(r, ast.Named):
-        return r.name if _is_ident(r.name) else _quote(r.name)
+    if isinstance(r, ast.Named):  # a bare SOME or ONLY reads as a modifier
+        bare = _is_ident(r.name) and r.name not in ("SOME", "ONLY")
+        return r.name if bare else _quote(r.name)
     if isinstance(r, ast.Interval):
         unit = f" ({r.unit})" if r.unit else ""
         if r.hi is None:

@@ -667,6 +667,22 @@ def test_fmt_write_in_place(capsys, tmp_path):
     assert f.read_text() == 'goal G1 = "padded".\n'
 
 
+def test_fmt_write_failure_is_an_io_error(capsys, tmp_path, monkeypatch):
+    f = tmp_path / "model.dsr"
+    f.write_text('goal G1 = "kept".\n')
+
+    def guarded_open(path, mode="r", **kwargs):
+        if "w" in mode:
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", guarded_open, raising=False)
+    code, out, err = run(capsys, "fmt", "--write", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"error: E-IO-001 cannot write {f}: Permission denied\n"
+    assert f.read_text() == 'goal G1 = "kept".\n'
+
+
 def test_fmt_parse_error(capsys, tmp_path):
     f = tmp_path / "broken.dsr"
     f.write_text("goal G1 = .\n")

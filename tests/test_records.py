@@ -65,8 +65,6 @@ FROZEN = [
                                strength="s", outputs=("G2",), span=SPAN)),
     (consistency.Clash, dict(anchor="x", pair=("A", "B"),
                              chains=("x: A", "x: B"), fact="F1")),
-    (consistency._OnlyRule, dict(owner="A", slot="s", fillers=("B",),
-                                 label="A")),
     (verdict.Proved, {}),
     (verdict.Disproved, dict(witness="w")),
     (verdict.Unknown, dict(reason="why")),

@@ -10,7 +10,9 @@ from desiree.reasoner.regions import (
     region_subset,
     regions_certainly_disjoint,
 )
-from desiree.reasoner.semantics import point_in_region
+from desiree.reasoner.semantics import point_in_region, replay_witness
+from desiree.reasoner.subsume import subsumes
+from desiree.reasoner.verdict import Disproved
 from desiree.syntax import ast
 
 from gen_strategies import intervals, percents, regions, value_sets
@@ -122,3 +124,14 @@ def test_named_regions_are_compared_through_the_edges():
     assert region_gap_point(fast, slow) is None
     assert region_gap_point(SEC_0_10, fast) is None
     assert not regions_certainly_disjoint(fast, slow)
+
+
+@pytest.mark.parametrize("values", [("a", "b"), ("a", "__other__"),
+                                    ("__other__", "__other___")])
+def test_the_grid_holds_a_literal_no_value_set_holds(values):
+    # A named region may hold a value outside every value set, whatever
+    # literals the value set uses.
+    v = subsumes(ast.Region(ast.Named("Fast")),
+                 ast.Region(ast.ValueSet(values)))
+    assert isinstance(v, Disproved)
+    assert replay_witness(v.witness)

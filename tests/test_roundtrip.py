@@ -30,6 +30,10 @@ def test_roundtrip_specific_shapes():
                  ast.Region(ast.Interval(Fraction(20), None))),
         ast.Slot("q", ast.Only(),
                  ast.Region(ast.Named("Nearly Fast"))),
+        # A region named like a modifier is quoted in region context.
+        ast.Slot("has_value_in", ast.ExactlyOne(),
+                 ast.Region(ast.Named("SOME"))),
+        ast.Slot("has_value_in", ast.Only(), ast.Region(ast.Named("ONLY"))),
         # A value set outside region context is marked, not an enumeration.
         ast.Region(ast.ValueSet(("3/2", "Mon"))),
         ast.And(ast.Region(ast.Interval(Fraction(0), Fraction(5))),
