@@ -37,6 +37,7 @@ from pathlib import Path
 
 from desiree import cli
 from desiree.reasoner import kernels, oracle, subsume
+from desiree.reasoner.normal import ReasonerContext
 from desiree.reasoner.oracle import (
     build_problems,
     oracle_disprove,
@@ -94,8 +95,10 @@ def parse_pairs(rows):
 
 
 def run_once(pairs):
+    """Each search in a fresh context, so its memo holds nothing yet and
+    the kernel runs every time."""
     for d1, d2, axioms in pairs:
-        oracle_disprove(d1, d2, axioms)
+        oracle_disprove(d1, d2, ReasonerContext(axioms))
 
 
 def scanned(pairs):
@@ -105,7 +108,7 @@ def scanned(pairs):
     n = 0
     for d1, d2, axioms in pairs:
         sigma = set(signature(d1) | signature(d2))
-        entries = select_axioms(d1, d2, axioms, sigma)
+        entries = select_axioms(d1, d2, ReasonerContext(axioms), sigma)
         for table, total, programs in build_problems(d1, d2, entries,
                                                      sigma):
             idx = kernels.find_violation(

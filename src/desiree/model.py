@@ -147,7 +147,8 @@ class Model:
     # -- derived theory ------------------------------------------------
 
     def context(self) -> ReasonerContext:
-        """Reasoning context: axioms, active assumptions, disjointness."""
+        """Reasoning context: axioms, active assumptions, disjointness.
+        Built at first use; an axiom implied after that grows it."""
         if self._ctx is None:
             axioms = list(self.axioms)
             for e in self.elements.values():
@@ -158,9 +159,6 @@ class Model:
                                         disjoints=list(self.disjoints),
                                         max_dnf=self.max_dnf)
         return self._ctx
-
-    def invalidate(self):
-        self._ctx = None
 
     def active_elements(self):
         return [e for e in self.elements.values() if e.active]
@@ -519,7 +517,8 @@ def _construct(m, app, prim, fail):
             built = [(body, dict(prim.relaxations))]
             if implied is not None:
                 m.axioms.append(implied)
-                m.invalidate()
+                if m._ctx is not None:  # grown, not rebuilt
+                    m._ctx = m._ctx.assuming(implied)
     except ops.OperatorError as err:
         fail(err.code, err.message)
         return None

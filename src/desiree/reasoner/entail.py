@@ -183,7 +183,7 @@ def constraint_entails(b1: SubsumptionBody, b2: SubsumptionBody,
 
     b2 follows when the chain lhs2 <= lhs1 <= rhs1 <= rhs2 holds with b1
     assumed; otherwise b2's inclusion is decided by `subsumes` in the
-    context `ctx.assuming(b1)`, which extends ctx's search index by b1.
+    context `ctx.assuming(b1)`, grown from ctx by b1.
     """
     ctx2 = ctx.assuming((b1.lhs, b1.rhs))
     try:

@@ -9,8 +9,9 @@ parts. Merging two conjuncts unions them set by set. Subsumption holds
 when every left conjunct lands inside some right conjunct, requirement
 by requirement.
 
-A context reads the told axioms once into two tables (ReasonerContext),
-which leave out told disjunctions.
+A context reads the told axioms once into the prover's two tables,
+which leave out told disjunctions, and the search's index
+(ReasonerContext).
 
 Everything here errs toward "not proven": a False answer never means
 disproved. Counterexamples are the oracle's job.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
-from desiree.reasoner.oracle import AxiomIndex
+from desiree.reasoner.oracle import _nonempty_when_empty, signature
 from desiree.reasoner.regions import (
     region_subset,
     regions_certainly_disjoint,
@@ -50,14 +51,22 @@ class ReasonerContext(Record):
     conjunct (None if they contradict); a side with more disjuncts or
     past `max_dnf` is left out, which only loses proofs.
     `region_supers[n]` holds the names n is told to lie within.
+    `by_lhs` indexes `axiom_pairs()` for the bounded search: it maps each
+    symbol to the entries (position, axiom, signature of both sides) of
+    the axioms whose left side mentions it (key None: those whose left
+    side may be nonempty whatever is empty; see oracle.select_axioms).
+    `search_memo` maps a search's k = 1 problem to its outcome, and
+    `programs` holds one copy of each program in its keys.
 
-    A context is built once per theory and kept as long as the theory
-    does not change; its caches (the structural memo, the search index
-    and its memo, the contexts made by `assuming`) live as long as it
-    does. A context made by `assuming` is given its parent as `base` and
-    starts from the parent's tables, replacing only the entries that the
-    assumed axiom extends; conjuncts are immutable, so the told entries
-    are shared with the parent and never copied.
+    A context is built once per theory and grown, never rebuilt: one
+    pass over its new axioms fills all three tables. A context given a
+    `base` (with the same disjoints and cap, whose axioms begin this
+    one's) starts from the base's tables and shares its search memo;
+    it copies only the entry lists its new axioms join, and appends in
+    place only to lists it made itself. Conjuncts are immutable, so told
+    entries are shared, never copied. The caches (the structural memo,
+    the search memo, the contexts made by `assuming`) live as long as
+    the context does.
     """
 
     # The tables and caches that `__post_init__` builds live in `__dict__`;
@@ -73,16 +82,38 @@ class ReasonerContext(Record):
         self.axioms = [] if axioms is None else axioms
         self.disjoints = [] if disjoints is None else disjoints
         self.max_dnf = max_dnf
-        # `base` is the context whose axioms begin this one's (given by
-        # `assuming`); not kept, so a context and its assumption contexts
-        # form no cycle
+        # not kept, so a context and the contexts grown from it form no
+        # cycle
         self.__post_init__(base)
 
     def __post_init__(self, base=None):
-        self.disjoint_pairs = {frozenset(p) for p in self.disjoints}
-        self.told: dict[str, Conjunct | None] = dict(base.told) if base else {}
-        self.region_supers = dict(base.region_supers) if base else {}
-        for lhs, rhs in self.axioms[len(base.axioms) if base else 0:]:
+        if base is None:
+            self.disjoint_pairs = {frozenset(p) for p in self.disjoints}
+            self.told: dict[str, Conjunct | None] = {}
+            self.region_supers: dict[str, tuple[str, ...]] = {}
+            self.by_lhs: dict[tuple | None, list] = {}
+            self.search_memo: dict = {}
+            self.programs: dict = {}
+            self.n_entries, new = 0, self.axiom_pairs()
+        else:
+            self.disjoint_pairs = base.disjoint_pairs
+            self.told = dict(base.told)
+            self.region_supers = dict(base.region_supers)
+            self.by_lhs = dict(base.by_lhs)
+            self.search_memo, self.programs = base.search_memo, base.programs
+            self.n_entries, new = base.n_entries, self.axioms[len(base.axioms):]
+        own = set()  # the entry lists this context made
+        for axiom in new:
+            lhs, rhs = axiom
+            left = signature(lhs)
+            entry = (self.n_entries, axiom, left | signature(rhs))
+            self.n_entries += 1
+            for s in (None,) if _nonempty_when_empty(lhs) else left:
+                if s in own:
+                    self.by_lhs[s].append(entry)
+                else:
+                    self.by_lhs[s] = [*self.by_lhs.get(s, ()), entry]
+                    own.add(s)
             n1, n2 = _side_name(lhs), _side_name(rhs)
             if n1 and n2:
                 self.region_supers[n1] = self.region_supers.get(n1, ()) + (n2,)
@@ -101,7 +132,6 @@ class ReasonerContext(Record):
         # outermost depth whose cycle guard the current query has read
         self.open_queries: dict = {}
         self.guard_read = 0
-        self._index: AxiomIndex | None = None
         self._assumed: dict = {}
 
     def axiom_pairs(self) -> list[tuple[ast.Description, ast.Description]]:
@@ -111,21 +141,13 @@ class ReasonerContext(Record):
             out.append((ast.And(ast.Atom(a), ast.Atom(b)), ast.NOTHING))
         return out
 
-    def axiom_index(self) -> AxiomIndex:
-        """axiom_pairs() indexed for the model search, built at first use."""
-        if self._index is None:
-            self._index = AxiomIndex(self.axiom_pairs())
-        return self._index
-
     def assuming(self, axiom: tuple[ast.Description, ast.Description]
                  ) -> "ReasonerContext":
-        """This theory plus one axiom, built once per axiom and kept. Its
-        search index extends this one's, so they share the kernel memo."""
+        """This theory plus one axiom, grown from this context once per
+        axiom and kept."""
         if axiom not in self._assumed:
-            ctx = ReasonerContext(self.axioms + [axiom], self.disjoints,
-                                  self.max_dnf, base=self)
-            ctx._index = self.axiom_index().extended(axiom)
-            self._assumed[axiom] = ctx
+            self._assumed[axiom] = ReasonerContext(
+                self.axioms + [axiom], self.disjoints, self.max_dnf, base=self)
         return self._assumed[axiom]
 
 
@@ -198,13 +220,25 @@ def translate(d: ast.Description, ctx: ReasonerContext) -> list[Conjunct]:
         return [Conjunct(projs=frozenset({(d.slot, d.base)}))]
     if isinstance(d, (ast.And, ast.Or, ast.Diff)):
         # Folded along the left spine, left to right, so that `_cap`
-        # meets the sizes a recursive walk would.
+        # meets the sizes a recursive walk would. A run of `&` operands
+        # of one conjunct each is merged into `out` at once, before the
+        # next operand that could change its length: merging one by one
+        # would copy the growing sets at every operand.
         d, chain = ast.left_spine(d)
         out = translate(d, ctx)
+        run: list[Conjunct] = []
         for node in chain:
+            if isinstance(node, ast.Diff):
+                right = None
+            else:
+                right = translate(node.right, ctx)
+                if len(right) == 1 and isinstance(node, ast.And):
+                    run.append(right[0])
+                    continue
+            if run:
+                out, run = _merge_run(out, run, ctx), []
             if isinstance(node, ast.And):
                 acc, out = out, []
-                right = translate(node.right, ctx)
                 for a in acc:
                     for b in right:
                         m = _merge(a, b, ctx)
@@ -212,12 +246,20 @@ def translate(d: ast.Description, ctx: ReasonerContext) -> list[Conjunct]:
                             out.append(m)
                     _cap(out, ctx)
             elif isinstance(node, ast.Or):
-                out = out + translate(node.right, ctx)
+                out = out + right
                 _cap(out, ctx)
             else:
                 out = _apply_neg(out, node.right, ctx)
-        return out
+        return _merge_run(out, run, ctx) if run else out
     raise ValueError(f"no extension for {d!r}")
+
+
+def _merge_run(cs: list, run: list, ctx: ReasonerContext) -> list:
+    """Each conjunct of cs merged with every conjunct of run. Bottom
+    only grows with the sets, so one merge with their union drops the
+    conjuncts that merging one by one would."""
+    r = run[0] if len(run) == 1 else Conjunct(*map(frozenset().union, *run))
+    return [m for c in cs if (m := _merge(c, r, ctx)) is not None]
 
 
 def _apply_neg(cs: list, r: ast.Description, ctx: ReasonerContext) -> list:

@@ -22,25 +22,26 @@ the first hit ends the search (small k first, as in Claessen &
 Sörensson's MACE-style model finding), so only an exhaustive scan at
 the largest k that fits comes back empty.
 
-Each ReasonerContext keeps one AxiomIndex of its theory, built at its
-first search: a map from each symbol to the axioms whose left side
-mentions it, each with the signature of both its sides, so the fixpoint
-tests an axiom again only when such a symbol enters Σ. A search walks
-the pair once: its signature seeds Σ, select_axioms grows that set in
-place, and the final Σ is the problem's census, which build_problems
-splits by kind, so neither the pair nor a selected axiom is walked
-again for it. The index also carries the search memo: the outcome of
-each search (the k and index of its hit, or none), keyed by the
-arguments of kernels.find_violation at k = 1 (the counts of the search
-and its tuple of programs), so searches that differ only in symbol names
-run the kernel once and compile only at k = 1. A context made by
-`ReasonerContext.assuming` (theory plus one assumed axiom) takes its
-parent's index extended by that axiom, so the two share the memo and
-every entry list that axiom does not join. All of it lives as long as
-the model's context, which the model keeps until its theory changes;
-nothing is kept across processes.
+Each ReasonerContext indexes its theory for the search as it is built:
+a map from each symbol to the axioms whose left side mentions it, each
+with the signature of both its sides, so the fixpoint tests an axiom
+again only when such a symbol enters Σ. A search walks the pair once:
+its signature seeds Σ, select_axioms grows that set in place, and the
+final Σ is the problem's census, which build_problems splits by kind,
+so neither the pair nor a selected axiom is walked again for it. The
+context also carries the search memo: the outcome of each search (the k
+and index of its hit, or none), keyed by the arguments of
+kernels.find_violation at k = 1 (the counts of the search and its tuple
+of programs), so searches that differ only in symbol names run the
+kernel once and compile only at k = 1. A context grown from another
+(`ReasonerContext.assuming`: the theory plus one assumed or implied
+axiom) shares its memo and every entry list the new axiom does not
+join. All of it lives as long as the model's context; nothing is kept
+across processes.
 """
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from desiree.reasoner import kernels
 from desiree.reasoner.compile import SymbolTable, assemble
@@ -49,9 +50,10 @@ from desiree.reasoner.regions import build_grid, census
 from desiree.reasoner.semantics import satisfies_axioms, violates_subsumption
 from desiree.syntax import ast
 
-BUDGET = 1 << 21
+if TYPE_CHECKING:
+    from desiree.reasoner.normal import ReasonerContext
 
-AxiomPair = tuple[ast.Description, ast.Description]
+BUDGET = 1 << 21
 
 
 class BoundsExceeded(Exception):
@@ -114,58 +116,13 @@ def _nonempty_when_empty(d: ast.Description, sigma=frozenset()) -> bool:
     return vals.pop()
 
 
-class AxiomIndex:
-    """The axioms of one theory, indexed for select_axioms.
-
-    `by_lhs` maps each symbol to the entries (position, axiom, signature
-    of both sides) of the axioms whose left side mentions it (key None:
-    those whose left side may be nonempty whatever Σ is); `count` is the
-    number of axioms. `memo` maps a search's k = 1 problem to its
-    outcome, and `programs` holds one copy of each program in the memo's
-    keys. An index made by `extended` shares all three with its parent,
-    and every entry list the new axiom does not join.
-    """
-
-    def __init__(self, axioms: list[AxiomPair] | tuple[AxiomPair, ...] = ()):
-        self.count = 0
-        self.by_lhs: dict[tuple | None, list] = {}
-        self.memo: dict = {}
-        self.programs: dict = {}
-        for ax in axioms:
-            self._add(ax)
-
-    def _add(self, axiom: AxiomPair, shared: bool = False) -> None:
-        """Index one more axiom; a shared list is copied, not grown."""
-        lhs, rhs = axiom
-        left = signature(lhs)
-        entry = (self.count, axiom, left | signature(rhs))
-        self.count += 1
-        for s in (None,) if _nonempty_when_empty(lhs) else left:
-            if shared:
-                self.by_lhs[s] = [*self.by_lhs.get(s, ()), entry]
-            else:
-                self.by_lhs.setdefault(s, []).append(entry)
-
-    def extended(self, axiom: AxiomPair) -> "AxiomIndex":
-        """This index plus one axiom at the end, sharing the memo.
-
-        Only the entry lists the new axiom joins are copied; the
-        theory's axioms are not walked again.
-        """
-        new = AxiomIndex()
-        new.count, new.by_lhs = self.count, dict(self.by_lhs)
-        new.memo, new.programs = self.memo, self.programs
-        new._add(axiom, shared=True)
-        return new
-
-
 def select_axioms(
     d1: ast.Description,
     d2: ast.Description,
-    axioms: list[AxiomPair] | AxiomIndex,
+    ctx: ReasonerContext,
     sigma: set | None = None,
 ) -> list[tuple]:
-    """The ⊥-module of the theory for separating d1 from d2: its index
+    """The ⊥-module of ctx's theory for separating d1 from d2: its index
     entries (position, axiom, signature), in theory order.
 
     Σ starts as the pair's signature. An axiom is kept when its left side
@@ -173,18 +130,17 @@ def select_axioms(
     empty, and its signature then joins Σ, until nothing changes. Every
     other axiom holds once the symbols outside Σ are empty. An axiom is
     tested again only when a symbol of its left side enters Σ; the test
-    is monotone in Σ, so the fixpoint is exact. A list is indexed first.
+    is monotone in Σ, so the fixpoint is exact.
 
     Given sigma, the pair's signature as a set, Σ is grown in it, so it
     ends as the module's signature: the census build_problems takes.
     """
-    index = axioms if isinstance(axioms, AxiomIndex) else AxiomIndex(axioms)
     if sigma is None:
         sigma = set(signature(d1) | signature(d2))
     todo: list[tuple | None] = [None, *sigma]
     chosen: dict[int, tuple] = {}
     while todo:
-        for i, axiom, syms in index.by_lhs.get(todo.pop(), ()):
+        for i, axiom, syms in ctx.by_lhs.get(todo.pop(), ()):
             if i not in chosen and _nonempty_when_empty(axiom[0], sigma):
                 chosen[i] = i, axiom, syms
                 todo.extend(syms - sigma)
@@ -239,7 +195,7 @@ def build_problems(
 def oracle_disprove(
     d1: ast.Description,
     d2: ast.Description,
-    axioms: list[AxiomPair] | tuple[AxiomPair, ...] | AxiomIndex = (),
+    ctx: ReasonerContext,
 ) -> Witness | None:
     """Search for an axiom-respecting model where d1 is not within d2.
 
@@ -248,22 +204,21 @@ def oracle_disprove(
     is exhausted as well. Raises BoundsExceeded when no k fits, so the
     caller must fall back to Unknown.
 
-    Given an AxiomIndex, the outcome is remembered in its memo: the k
-    and index of the hit, or -1 when every k came back empty. The key is
-    the compiled k = 1 problem, whose counts and programs fix the
-    problem at every larger k, so a later search that compiles to the
-    same k = 1 problem compiles nothing more and runs no kernel. Its
-    witness is still decoded with its own symbols at the hit's k and
-    replayed.
+    The axioms are ctx's, and the outcome is remembered in its search
+    memo: the k and index of the hit, or -1 when every k came back
+    empty. The key is the compiled k = 1 problem, whose counts and
+    programs fix the problem at every larger k, so a later search that
+    compiles to the same k = 1 problem compiles nothing more and runs no
+    kernel. Its witness is still decoded with its own symbols at the
+    hit's k and replayed.
     """
-    index = axioms if isinstance(axioms, AxiomIndex) else AxiomIndex(axioms)
     sigma = set(signature(d1) | signature(d2))
-    selected = select_axioms(d1, d2, index, sigma)
+    selected = select_axioms(d1, d2, ctx, sigma)
     problems = build_problems(d1, d2, selected, sigma)
     table, total, programs = next(problems)
     key = (total, table.k, table.gamma, len(table.atoms), len(table.slots),
            len(table.named), len(table.inds), programs)
-    found = index.memo.get(key)
+    found = ctx.search_memo.get(key)
     if found is None:
         idx = kernels.find_violation(*key)
         while idx < 0 and (bigger := next(problems, None)) is not None:
@@ -272,8 +227,8 @@ def oracle_disprove(
         found = table.k, idx
         # Few programs are distinct (51 in the 4,504 of an entail-search
         # pass); a copy per key had the garbage collector run 40% more.
-        programs = tuple(index.programs.setdefault(p, p) for p in key[-1])
-        index.memo[key[:-1] + (programs,)] = found
+        programs = tuple(ctx.programs.setdefault(p, p) for p in key[-1])
+        ctx.search_memo[key[:-1] + (programs,)] = found
     k, idx = found
     if idx < 0:
         return None

@@ -30,7 +30,7 @@ def subsumes(
     except DnfOverflow:
         overflow = True
     try:
-        w = oracle_disprove(d1, d2, ctx.axiom_index())
+        w = oracle_disprove(d1, d2, ctx)
     except BoundsExceeded as e:
         return Unknown(f"inconclusive: {e}")
     if w is not None:

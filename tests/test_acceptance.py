@@ -141,7 +141,7 @@ def test_criterion_3_soundness_against_the_search():
         except DnfOverflow:
             continue
         try:
-            w = oracle_disprove(d1, d2)
+            w = oracle_disprove(d1, d2, ctx)
         except BoundsExceeded:
             continue
         checked += 1

@@ -346,10 +346,11 @@ class TestAssuming:
         assert ctx.assuming((D("Search"), D("Fast"))) is not ctx2
         assert ctx2.axioms == ctx.axioms + [ax]
         assert ctx2.disjoints == ctx.disjoints
-        assert ctx2.axiom_index().memo is ctx.axiom_index().memo
+        assert ctx2.search_memo is ctx.search_memo
         pair = D("Advanced_search"), D("<actor: ONLY User>")
-        selected = select_axioms(*pair, ctx2.axiom_index())
-        assert selected == select_axioms(*pair, ctx.axiom_pairs() + [ax])
+        selected = select_axioms(*pair, ctx2)
+        assert selected == select_axioms(
+            *pair, ReasonerContext(ctx.axiom_pairs() + [ax]))
         # the parent's first axiom and the assumed one, after the
         # disjointness axiom at position 1
         assert selected == [(i, a, signature(a[0]) | signature(a[1]))
@@ -421,7 +422,7 @@ def test_constraint_entailment_agrees_with_the_search(axioms, disjoint,
     v = constraint_entails(b1, b2, ctx)
     if is_proved(v):
         try:
-            w = oracle_disprove(b2.lhs, b2.rhs, theory)
+            w = oracle_disprove(b2.lhs, b2.rhs, ReasonerContext(theory))
         except BoundsExceeded:
             w = None
         assert w is None, f"proved yet refuted: {w.to_json()}"

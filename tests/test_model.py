@@ -7,7 +7,9 @@ from importlib import resources
 import pytest
 
 from desiree.model import load_model
+from desiree.reasoner.entail import entails
 from desiree.reasoner.normal import ReasonerContext
+from desiree.reasoner.verdict import Disproved
 from desiree.syntax import ast
 
 F = Fraction
@@ -303,6 +305,64 @@ def test_implied_region_axiom_renews_the_context(monkeypatch):
     assert codes(m) == []
     assert [a.verdict for a in m.applications] == ["verified"] * 3
     assert built == [0, 1]
+
+
+SCALED_BASE = (
+    "qg QG = Processing_time (F1) :: Fast.\n"
+    'qg QG_b = Processing_time (F1) :: "Nearly Fast".\n'
+    "qg QG_g = Processing_time (F1) :: Good.\n"
+    "qc QC = Response_time ({sys}) :: [0, 30 Sec].\n"
+    "da DA = Run :< Process.\n"
+    "disjoint Run, Walk.\n"
+    "goal G_f = Run <has_value_in: SOME Fast>.\n"
+    'goal G_nf = Run <has_value_in: SOME "Nearly Fast">.\n'
+    "scaleup(QC, (1, 2/3)) [s] = {QC_t}.\n")
+SCALED_LATER = (
+    "reduce(QG) [w] = {QG_b}.\n"
+    "reduce(QG) [s] = {QG_b}.\n"
+    "reduce(QG_n) [e] = {QG_b}.\n"
+    "reduce(QG_g) [w] = {QG_n}.\n"
+    "scaleup(QG_n, Very) [s] = {QG_vn}.\n"
+    "reduce(QG_vn) [s] = {QG}.\n"
+    "reduce(G_f) [s] = {G_nf}.\n"
+    "reduce(G_f) [w] = {G_nf}.\n"
+    "reduce(G_nf) [s] = {G_f}.\n"
+    "reduce(G_nf) [w] = {G_f}.\n")
+
+
+def _outcome(verdict):
+    if isinstance(verdict, Disproved):
+        return "disproved", verdict.witness.to_json()
+    return type(verdict).__name__, getattr(verdict, "reason", None)
+
+
+def test_an_implied_axiom_decides_as_a_stated_one():
+    # The scaleup claim builds the context first, so the implied
+    # Fast :< Nearly Fast grows it and comes after the domain assumption,
+    # where the stated axiom comes before it.
+    implied = load(SCALED_BASE + "scaledown(QG, Nearly) [w] = {QG_n}.\n"
+                   + SCALED_LATER)
+    stated = load(SCALED_BASE + 'axiom "Fast" :< "Nearly Fast".\n'
+                  'qg QG_n = Processing_time (F1) :: "Nearly Fast".\n'
+                  + SCALED_LATER)
+    assert codes(implied) == codes(stated)
+    fast, nearly, very = (ast.Region(ast.Named(name)) for name in
+                          ("Fast", "Nearly Fast", "Very Nearly Fast"))
+    da = (ast.Atom("Run"), ast.Atom("Process"))
+    assert implied.context().axioms == [da, (fast, nearly), (very, nearly)]
+    assert stated.context().axioms == [(fast, nearly), da, (very, nearly)]
+    later = [(a.op, a.inputs, a.verdict, a.note)
+             for a in implied.applications[2:]]
+    assert later == [(a.op, a.inputs, a.verdict, a.note)
+                     for a in stated.applications[1:]]
+    assert {a[2] for a in later} == {"verified", "violated", "unknown"}
+    for e1 in implied.elements:
+        for e2 in implied.elements:
+            assert _outcome(entails(implied.elements[e1],
+                                    implied.elements[e2],
+                                    implied.context())) == _outcome(
+                entails(stated.elements[e1], stated.elements[e2],
+                        stated.context())), (e1, e2)
 
 
 def test_corpus_builds_at_most_two_contexts(monkeypatch):

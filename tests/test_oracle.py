@@ -1,5 +1,6 @@
 """Counterexample-search checks: kernels vs the reference evaluator."""
 import sys
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -20,6 +21,8 @@ from desiree.reasoner.oracle import (
     select_axioms,
     signature,
 )
+from desiree.reasoner.subsume import subsumes
+from desiree.reasoner.verdict import Disproved
 from desiree.reasoner.semantics import (
     replay_witness,
     satisfies_axioms,
@@ -30,6 +33,11 @@ from desiree.syntax.parser import parse_description as pd
 from desiree.syntax.render import render_description
 
 from gen_strategies import descriptions
+
+
+def theory(axioms=()):
+    """A fresh context whose theory is exactly these axioms."""
+    return ReasonerContext(axioms=list(axioms))
 
 
 def entries(axioms):
@@ -67,45 +75,46 @@ def kernel_on(d1, d2, axioms, k):
 
 
 def test_no_witness_for_obvious_truths():
-    assert oracle_disprove(pd("A"), pd("A")) is None
-    assert oracle_disprove(pd("A B"), pd("A")) is None
-    assert oracle_disprove(pd("A"), pd("A | B")) is None
-    assert oracle_disprove(pd("A - B"), pd("A")) is None
-    assert oracle_disprove(pd("Nothing"), pd("A")) is None
-    assert oracle_disprove(pd("A"), pd("Anything")) is None
-    assert oracle_disprove(pd("{a}"), pd("{a, b}")) is None
-    assert oracle_disprove(pd("<s: =1 A>"), pd("<s: SOME A>")) is None
+    assert oracle_disprove(pd("A"), pd("A"), theory()) is None
+    assert oracle_disprove(pd("A B"), pd("A"), theory()) is None
+    assert oracle_disprove(pd("A"), pd("A | B"), theory()) is None
+    assert oracle_disprove(pd("A - B"), pd("A"), theory()) is None
+    assert oracle_disprove(pd("Nothing"), pd("A"), theory()) is None
+    assert oracle_disprove(pd("A"), pd("Anything"), theory()) is None
+    assert oracle_disprove(pd("{a}"), pd("{a, b}"), theory()) is None
+    assert oracle_disprove(pd("<s: =1 A>"), pd("<s: SOME A>"),
+                           theory()) is None
 
 
 def test_plain_atom_witness_replays():
-    w = oracle_disprove(pd("A"), pd("B"))
+    w = oracle_disprove(pd("A"), pd("B"), theory())
     assert w is not None
     assert replay_witness(w)
     assert replay_witness(witness_from_json(w.to_json()))
 
 
 def test_some_vs_only_witness():
-    w = oracle_disprove(pd("<s: SOME A>"), pd("<s: ONLY A>"))
+    w = oracle_disprove(pd("<s: SOME A>"), pd("<s: ONLY A>"), theory())
     assert w is not None
     assert replay_witness(w)
 
 
 def test_count_strengthening_disproved():
-    w = oracle_disprove(pd("<s: =2 A>"), pd("<s: =1 A>"))
+    w = oracle_disprove(pd("<s: =2 A>"), pd("<s: =1 A>"), theory())
     assert w is not None
     assert replay_witness(w)
 
 
 def test_projection_collects_stray_targets():
     # a B-filler plus a stray edge: the projection leaks the stray target
-    w = oracle_disprove(pd("(A <s: B>).s"), pd("B"))
+    w = oracle_disprove(pd("(A <s: B>).s"), pd("B"), theory())
     assert w is not None
     assert replay_witness(w)
 
 
 def test_witness_text_survives_json():
     d1, d2 = pd("A <s: {a}>"), pd("A <s: B>")
-    w = oracle_disprove(d1, d2)
+    w = oracle_disprove(d1, d2, theory())
     assert (w.d1, w.d2) == (d1, d2)
     back = witness_from_json(w.to_json())
     assert (back.d1_text, back.d2_text) == (w.d1_text, w.d2_text) == (
@@ -146,15 +155,15 @@ def test_replay_guard_rejects_a_wrong_kernel(monkeypatch, index, axioms):
     monkeypatch.setattr(kernels, "find_violation", lambda *args: index)
     axioms = [(pd(lhs), pd(rhs)) for lhs, rhs in axioms]
     with pytest.raises(RuntimeError) as exc:
-        oracle_disprove(pd("A"), pd("C"), axioms)
+        oracle_disprove(pd("A"), pd("C"), theory(axioms))
     assert str(exc.value) == "kernel disagrees with the reference evaluator"
 
 
 def test_enum_shrink_disproved():
-    w = oracle_disprove(pd("{a, b}"), pd("{a}"))
+    w = oracle_disprove(pd("{a, b}"), pd("{a}"), theory())
     assert w is not None
     assert replay_witness(w)
-    w2 = oracle_disprove(pd("Anything"), pd("{a}"))
+    w2 = oracle_disprove(pd("Anything"), pd("{a}"), theory())
     assert w2 is not None
     assert replay_witness(w2)
 
@@ -162,26 +171,26 @@ def test_enum_shrink_disproved():
 def test_axioms_block_witnesses():
     ab = (pd("A"), pd("B"))
     bc = (pd("B"), pd("C"))
-    assert oracle_disprove(pd("A"), pd("B")) is not None
-    assert oracle_disprove(pd("A"), pd("B"), [ab]) is None
-    assert oracle_disprove(pd("A"), pd("C"), [ab, bc]) is None
+    assert oracle_disprove(pd("A"), pd("B"), theory()) is not None
+    assert oracle_disprove(pd("A"), pd("B"), theory([ab])) is None
+    assert oracle_disprove(pd("A"), pd("C"), theory([ab, bc])) is None
     # declared disjointness closes the A&B corner
     disj = (pd("A B"), pd("Nothing"))
-    assert oracle_disprove(pd("A B"), pd("Nothing")) is not None
-    assert oracle_disprove(pd("A B"), pd("Nothing"), [disj]) is None
+    assert oracle_disprove(pd("A B"), pd("Nothing"), theory()) is not None
+    assert oracle_disprove(pd("A B"), pd("Nothing"), theory([disj])) is None
 
 
 def test_universal_axiom_always_selected():
     # lhs Anything constrains every model even with no shared symbols
     ax = (pd("Anything"), pd("Q"))
-    assert select_axioms(pd("A"), pd("Q"), [ax]) == entries([ax])
-    assert oracle_disprove(pd("Anything"), pd("Q"), [ax]) is None
+    assert select_axioms(pd("A"), pd("Q"), theory([ax])) == entries([ax])
+    assert oracle_disprove(pd("Anything"), pd("Q"), theory([ax])) is None
 
 
 def test_unrelated_axiom_dropped():
     ax = (pd("X"), pd("Y"))
-    assert select_axioms(pd("A"), pd("B"), [ax]) == []
-    w = oracle_disprove(pd("A"), pd("B"), [ax])
+    assert select_axioms(pd("A"), pd("B"), theory([ax])) == []
+    w = oracle_disprove(pd("A"), pd("B"), theory([ax]))
     assert w is not None
     assert "X" not in w.interp.atoms
 
@@ -193,7 +202,7 @@ def test_reversed_axiom_chain_selected_in_list_order():
     chain.append((pd("A"), pd("Y1")))
     stray = (pd("X"), pd("Z"))
     axioms = chain[:2] + [stray] + chain[2:]
-    assert select_axioms(pd("A"), pd("B"), axioms) == [
+    assert select_axioms(pd("A"), pd("B"), theory(axioms)) == [
         e for e in entries(axioms) if e[1] != stray]
 
 
@@ -203,13 +212,13 @@ def test_selection_keeps_kinds_apart():
     ax = (pd("s"), pd("Q"))
     for kin in [pd("<s: A>"), pd("A.s"), pd("{s}"),
                 ast.Region(ast.Named("s"))]:
-        assert select_axioms(kin, pd("B"), [ax]) == []
-        w = oracle_disprove(kin, pd("B"), [ax])
+        assert select_axioms(kin, pd("B"), theory([ax])) == []
+        w = oracle_disprove(kin, pd("B"), theory([ax]))
         assert "Q" not in w.interp.atoms
-    assert select_axioms(pd("s"), pd("B"), [ax]) == entries([ax])
+    assert select_axioms(pd("s"), pd("B"), theory([ax])) == entries([ax])
     fast = (ast.Region(ast.Named("Fast")), pd("Q"))
-    assert select_axioms(pd("Fast"), pd("B"), [fast]) == []
-    assert select_axioms(fast[0], pd("B"), [fast]) == entries([fast])
+    assert select_axioms(pd("Fast"), pd("B"), theory([fast])) == []
+    assert select_axioms(fast[0], pd("B"), theory([fast])) == entries([fast])
 
 
 def test_search_walks_only_the_pair(monkeypatch):
@@ -217,7 +226,7 @@ def test_search_walks_only_the_pair(monkeypatch):
     symbols from its entry: only d1 and d2 are walked."""
     # 20 links over 12 atoms, so that k = 1 fits the budget
     chain = [(pd(f"Y{i}"), pd(f"Y{i + j}")) for i in range(10) for j in (1, 2)]
-    index = ReasonerContext(axioms=chain).axiom_index()
+    ctx = ReasonerContext(axioms=chain)
     d1, d2 = pd("Y0"), pd("B")
     walked = []
     walk = ast.walk
@@ -227,9 +236,9 @@ def test_search_walks_only_the_pair(monkeypatch):
         return walk(d)
 
     monkeypatch.setattr(ast, "walk", logged)
-    assert select_axioms(d1, d2, index) == entries(chain)
+    assert select_axioms(d1, d2, ctx) == entries(chain)
     walked.clear()
-    w = oracle_disprove(d1, d2, index)
+    w = oracle_disprove(d1, d2, ctx)
     assert replay_witness(w)
     assert set(w.interp.atoms) == {f"Y{i}" for i in range(12)} | {"B"}
     # one walk each: selection grows the pair's signature into the census
@@ -295,19 +304,52 @@ pair_sides = st.one_of(descriptions(max_depth=2), st.just(ast.Atom("Y0")))
 @given(pair_sides, pair_sides, axiom_theories(),
        st.lists(axioms_of, max_size=3))
 def test_indexed_selection_matches_the_fixpoint(d1, d2, axioms, more):
-    assert select_axioms(d1, d2, axioms) == select_reference(d1, d2, axioms)
-    # a context's index, extended by one assumed axiom, selects as a
-    # fresh list with that axiom appended would, and leaves the base as
-    # it was
+    assert select_axioms(d1, d2, theory(axioms)) == select_reference(
+        d1, d2, axioms)
+    # a context grown by one assumed axiom selects as a fresh list with
+    # that axiom appended would, and leaves its base as it was
     ctx = ReasonerContext(axioms=axioms, disjoints=[("A", "B")])
-    base = ctx.axiom_index()
     for assumed in more:
-        ext = base.extended(assumed)
-        assert ext.memo is base.memo
-        assert select_axioms(d1, d2, ext) == select_reference(
+        grown = ctx.assuming(assumed)
+        assert grown.search_memo is ctx.search_memo
+        assert select_axioms(d1, d2, grown) == select_reference(
             d1, d2, ctx.axiom_pairs() + [assumed])
-    assert select_axioms(d1, d2, base) == select_reference(
+    assert select_axioms(d1, d2, ctx) == select_reference(
         d1, d2, ctx.axiom_pairs())
+
+
+def outcome(verdict):
+    """A verdict as comparable data: its kind and reason or witness."""
+    if isinstance(verdict, Disproved):
+        return "disproved", verdict.witness.to_json()
+    return type(verdict).__name__, getattr(verdict, "reason", None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_sides, pair_sides, axiom_theories(),
+       st.lists(axioms_of, min_size=1, max_size=3), st.booleans())
+def test_a_grown_context_answers_as_a_fresh_one(d1, d2, axioms, more,
+                                                disjoint):
+    """A context grown one axiom at a time has the tables, the search
+    module and the answers of one built from the whole theory. Only the
+    entries' positions differ: grown axioms come after the disjointness
+    axioms, a fresh context's before them."""
+    disjoints = [("A", "B")] if disjoint else []
+    grown = ReasonerContext(axioms=axioms, disjoints=disjoints)
+    for axiom in more:
+        grown = grown.assuming(axiom)
+    fresh = ReasonerContext(axioms + more, disjoints)
+    assert grown.axioms == fresh.axioms
+    assert grown.told == fresh.told
+    assert grown.region_supers == fresh.region_supers
+
+    def module(ctx):
+        return Counter((axiom, syms)
+                       for _, axiom, syms in select_axioms(d1, d2, ctx))
+
+    assert module(grown) == module(fresh)
+    assert outcome(subsumes(d1, d2, grown)) == outcome(
+        subsumes(d1, d2, fresh))
 
 
 @settings(deadline=None)
@@ -330,7 +372,7 @@ def test_census_is_the_module_signature(d1, d2, axioms):
         mp.setattr(oracle, "select_axioms", selecting)
         mp.setattr(oracle, "build_problems", building)
         try:
-            oracle_disprove(d1, d2, axioms)
+            oracle_disprove(d1, d2, theory(axioms))
         except BoundsExceeded:
             pass
     kept = [axiom for _, axiom, _ in seen["selected"]]
@@ -355,7 +397,7 @@ def test_witness_satisfies_the_whole_theory(d1, d2, axioms):
     empty symbols empty the left side of every dropped axiom, wherever
     those individuals sit."""
     try:
-        w = oracle_disprove(d1, d2, axioms)
+        w = oracle_disprove(d1, d2, theory(axioms))
     except BoundsExceeded:
         return
     if w is None:
@@ -383,10 +425,10 @@ def test_renamed_pair_reuses_the_search(monkeypatch):
     monkeypatch.setattr(kernels, "find_violation", counted)
     axioms = [(pd("A"), pd("B")), (pd("P"), pd("Q"))]
     ctx = ReasonerContext(axioms=axioms)
-    w1 = oracle_disprove(pd("A"), pd("C"), ctx.axiom_index())
+    w1 = oracle_disprove(pd("A"), pd("C"), ctx)
     assert len(calls) == 1
     # P, Q, R sit where A, B, C did: the same compiled problem
-    w2 = oracle_disprove(pd("P"), pd("R"), ctx.axiom_index())
+    w2 = oracle_disprove(pd("P"), pd("R"), ctx)
     assert len(calls) == 1
     assert set(w1.interp.atoms) == {"A", "B", "C"}
     assert set(w2.interp.atoms) == {"P", "Q", "R"}
@@ -395,7 +437,7 @@ def test_renamed_pair_reuses_the_search(monkeypatch):
     assert satisfies_axioms(w2.interp, axioms)
     # the memo belongs to the context
     fresh = ReasonerContext(axioms=axioms)
-    w3 = oracle_disprove(pd("P"), pd("R"), fresh.axiom_index())
+    w3 = oracle_disprove(pd("P"), pd("R"), fresh)
     assert len(calls) == 2
     assert w3.to_json() == w2.to_json()
 
@@ -409,23 +451,23 @@ def test_renamed_pair_compiles_only_at_k1(monkeypatch):
         return assemble(descriptions, table)
 
     monkeypatch.setattr(oracle, "assemble", logged)
-    index = ReasonerContext(axioms=[]).axiom_index()
-    w1 = oracle_disprove(pd("<s: =2 A>"), pd("<s: =1 A>"), index)
+    ctx = ReasonerContext()
+    w1 = oracle_disprove(pd("<s: =2 A>"), pd("<s: =1 A>"), ctx)
     assert (ks, w1.interp.k) == ([1, 2], 2)
     # the memo holds the hit's k and index under the k = 1 problem: the
     # renamed pair compiles at k = 1 for the key, and never at k = 2
     for _ in range(2):
         ks.clear()
-        w2 = oracle_disprove(pd("<t: =2 B>"), pd("<t: =1 B>"), index)
+        w2 = oracle_disprove(pd("<t: =2 B>"), pd("<t: =1 B>"), ctx)
         assert (ks, w2.interp.k) == ([1], 2)
         assert set(w2.interp.slots) == {"t"}
         assert replay_witness(w2)
     # an exhaustive outcome is remembered as well
     ks.clear()
-    assert oracle_disprove(pd("A B"), pd("A"), index) is None
+    assert oracle_disprove(pd("A B"), pd("A"), ctx) is None
     assert ks == [1, 2, 3]
     ks.clear()
-    assert oracle_disprove(pd("C D"), pd("C"), index) is None
+    assert oracle_disprove(pd("C D"), pd("C"), ctx) is None
     assert ks == [1]
 
 
@@ -434,10 +476,10 @@ def test_interval_widening_monotone_only_for_some():
     # widening is not entailed: a second edge in (20, 30] breaks it
     lo = pd("<has_value_in: [0, 20 (Sec.)]>")
     hi = pd("<has_value_in: [0, 30 (Sec.)]>")
-    w = oracle_disprove(lo, hi)
+    w = oracle_disprove(lo, hi, theory())
     assert w is not None
     assert replay_witness(w)
-    w2 = oracle_disprove(hi, lo)
+    w2 = oracle_disprove(hi, lo, theory())
     assert w2 is not None
     assert replay_witness(w2)
     # the separating filler value sits in (20, 30]
@@ -448,30 +490,31 @@ def test_interval_widening_monotone_only_for_some():
     # at-least-one is monotone in the region
     lo_some = pd("<has_value_in: SOME [0, 20 (Sec.)]>")
     hi_some = pd("<has_value_in: SOME [0, 30 (Sec.)]>")
-    assert oracle_disprove(lo_some, hi_some) is None
-    assert oracle_disprove(hi_some, lo_some) is not None
+    assert oracle_disprove(lo_some, hi_some, theory()) is None
+    assert oracle_disprove(hi_some, lo_some, theory()) is not None
 
 
 def test_named_region_needs_axiom():
     fast = ast.Region(ast.Named("Fast"))
     slow = ast.Region(ast.Named("Slow"))
-    w = oracle_disprove(fast, slow)
+    w = oracle_disprove(fast, slow, theory())
     assert w is not None
     assert replay_witness(w)
     # a named region holds grid points only
     assert w.interp.named_regions["Fast"] <= set(w.interp.grid_indices())
-    assert oracle_disprove(fast, slow, [(fast, slow)]) is None
+    assert oracle_disprove(fast, slow, theory([(fast, slow)])) is None
 
 
 def test_mixed_units_are_skipped():
     sec = pd("<has_value_in: [0, 20 (Sec.)]>")
     minutes = pd("<has_value_in: [0, 30 (Min.)]>")
     with pytest.raises(BoundsExceeded):
-        oracle_disprove(sec, minutes)
+        oracle_disprove(sec, minutes, theory())
     pct = ast.Region(ast.Percent(Fraction(0), Fraction(1, 2)))
     with pytest.raises(BoundsExceeded):
         oracle_disprove(pd("<has_value_in: [0, 20 (Sec.)]>"),
-                        ast.Slot("has_value_in", ast.ExactlyOne(), pct))
+                        ast.Slot("has_value_in", ast.ExactlyOne(), pct),
+                        theory())
 
 
 def test_smallest_k_first(monkeypatch):
@@ -484,22 +527,22 @@ def test_smallest_k_first(monkeypatch):
 
     monkeypatch.setattr(kernels, "find_violation", logged)
     # k = 3 fits, but one element already separates A from B
-    assert oracle_disprove(pd("A"), pd("B")).interp.k == 1
+    assert oracle_disprove(pd("A"), pd("B"), theory()).interp.k == 1
     assert ks == [1]
     # two A-fillers need two individuals: k = 1 is scanned in vain first
     ks.clear()
-    w = oracle_disprove(pd("<s: =2 A>"), pd("<s: =1 A>"))
+    w = oracle_disprove(pd("<s: =2 A>"), pd("<s: =1 A>"), theory())
     assert (ks, w.interp.k) == ([1, 2], 2)
     # no witness: every k that fits is scanned
     ks.clear()
-    assert oracle_disprove(pd("A B"), pd("A")) is None
+    assert oracle_disprove(pd("A B"), pd("A"), theory()) is None
     assert ks == [1, 2, 3]
 
 
 def test_budget_overflow_raises():
     text = "A " + " ".join(f"<s{i}: A>" for i in range(22))
     with pytest.raises(BoundsExceeded):
-        oracle_disprove(pd(text), pd("B"))
+        oracle_disprove(pd(text), pd("B"), theory())
 
 
 SWEEP_CASES = [
@@ -516,7 +559,7 @@ SWEEP_CASES = [
 @pytest.mark.parametrize("case", range(len(SWEEP_CASES)))
 def test_kernel_matches_reference_sweep(case):
     d1, d2, axioms = SWEEP_CASES[case]
-    axioms = [axiom for _, axiom, _ in select_axioms(d1, d2, axioms)]
+    axioms = [axiom for _, axiom, _ in select_axioms(d1, d2, theory(axioms))]
     for k in problems(d1, d2, axioms):
         assert kernel_on(d1, d2, axioms, k) == scalar_first(d1, d2, axioms, k)
 
@@ -620,7 +663,7 @@ def test_block_schedule(monkeypatch, name):
     d1, d2, axioms, k = BLOCK_CASES[name]
     d1, d2 = pd(d1), pd(d2)
     axioms = [(pd(lhs), pd(rhs)) for lhs, rhs in axioms]
-    assert select_axioms(d1, d2, axioms) == entries(axioms)
+    assert select_axioms(d1, d2, theory(axioms)) == entries(axioms)
     monkeypatch.setattr(kernels, "FIRST_BITS", CASE_FIRST_BITS)
     # every k against the reference; the case's shape at its k
     for each in problems(d1, d2, axioms):
@@ -736,7 +779,8 @@ def kernel_problems(draw):
         lambda side: st.tuples(side, side))
     axioms = draw(st.lists(st.one_of(st.tuples(sides, sides), one_symbol),
                            max_size=3))
-    return d1, d2, [axiom for _, axiom, _ in select_axioms(d1, d2, axioms)]
+    chosen = select_axioms(d1, d2, theory(axioms))
+    return d1, d2, [axiom for _, axiom, _ in chosen]
 
 
 @settings(max_examples=80, deadline=None)

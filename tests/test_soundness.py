@@ -42,7 +42,7 @@ def test_proofs_survive_the_search(d1, d2):
     ctx = ReasonerContext()
     proved = _structural(d1, d2, ctx)
     try:
-        w = oracle_disprove(d1, d2)
+        w = oracle_disprove(d1, d2, ctx)
     except BoundsExceeded:
         return
     if proved:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import reference_normal
+from desiree.reasoner import normal
 from desiree.reasoner.normal import (
     DnfOverflow,
     ReasonerContext,
@@ -282,3 +284,65 @@ def test_many_grid_points_are_searched():
     v = verdict("[0, 20]", "[0, 1] | [2, 3] | [4, 5] | [6, 7] | [8, 9]")
     assert isinstance(v, Disproved)
     assert replay_witness(v.witness)
+
+
+def _normal_form(translate, d, ctx):
+    try:
+        return translate(d, ctx)
+    except DnfOverflow:
+        return "overflow"
+
+
+@st.composite
+def flat_chains(draw):
+    """A left-nested chain of drawn operands under drawn connectives."""
+    parts = draw(st.lists(descriptions(max_depth=2), min_size=2,
+                          max_size=8))
+    d = parts[0]
+    for part in parts[1:]:
+        connective = draw(st.sampled_from([ast.And, ast.And, ast.Or,
+                                           ast.Diff]))
+        d = connective(d, part)
+    return d
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(descriptions(), flat_chains()),
+       st.sampled_from([1, 2, 3, 16]), st.booleans())
+def test_translate_matches_the_reference(d, max_dnf, disjoint):
+    """Merging a run of one-conjunct `&` operands at once gives the
+    conjunct lists, in order, and the overflows of merging them one by
+    one."""
+    ctx = ReasonerContext(disjoints=[("A", "B")] if disjoint else [],
+                          max_dnf=max_dnf)
+    assert _normal_form(translate, d, ctx) == _normal_form(
+        reference_normal.translate, d, ctx)
+
+
+def merge_work(n, monkeypatch):
+    """Set members in every conjunct normalising an n-term `&` chain
+    builds; a two-way `|` halfway makes the second half merge into two
+    conjuncts."""
+    terms = [ast.Atom(f"A{i}") if i % 2 else
+             ast.Slot(f"s{i}", ast.Some(), ast.Atom("B")) for i in range(n)]
+    terms.insert(n // 2, ast.Or(ast.Atom("X"), ast.Atom("Y")))
+    d = terms[0]
+    for term in terms[1:]:
+        d = ast.And(d, term)
+    built = []
+    conjunct = normal.Conjunct
+
+    def counted(*fields, **named):
+        c = conjunct(*fields, **named)
+        built.append(sum(map(len, c)))
+        return c
+
+    monkeypatch.setattr(normal, "Conjunct", counted)
+    assert len(translate(d, ReasonerContext())) == 2
+    return sum(built)
+
+
+def test_merge_work_on_an_and_chain_grows_linearly(monkeypatch):
+    assert merge_work(2000, monkeypatch) <= 2.2 * merge_work(
+        1000, monkeypatch)

@@ -34,6 +34,7 @@ from desiree.syntax.parser import (
     parse_model_file,
 )
 
+from desiree.syntax.render import render_description
 from gen_strategies import descriptions
 from reference_parser import Token, token_list
 
@@ -432,6 +433,68 @@ class TestParseModelFile:
     def test_empty_outputs(self):
         out = parse_model_file("resolve(G1, G2) [w] = {}.\n")
         assert out.declarations[0].outputs == ()
+
+
+# name -> (declaration, code, position, message) of the one diagnostic
+PARSE_ERRORS = {
+    "zero denominator": (
+        "f F = <s: =1/0 A>.", "E-PARSE-001", "1:16", "zero denominator"),
+    "deuniversalize percentage out of range": (
+        "deuniversalize(?S, QC, <observed_by: ?S>, 150%) [w] = {QC2}.",
+        "E-PARSE-001", "1:43", "percentage 150% out of [0%, 100%]"),
+    "cardinality bound not an integer": (
+        "f F = <s: =2/3 A>.", "E-PARSE-001", "1:11",
+        "cardinality bound must be an integer >= 1"),
+    "% on one bound only": (
+        "f F = <has_value_in: [10%, 20]>.", "E-PARSE-001", "1:22",
+        "percent interval needs '%' on both bounds"),
+    "percent interval out of range": (
+        "f F = <has_value_in: [10%, 120%]>.", "E-PARSE-001", "1:22",
+        "percent interval out of [0%, 100%] or reversed"),
+    "percent interval reversed": (
+        "f F = <has_value_in: [30%, 20%]>.", "E-PARSE-001", "1:22",
+        "percent interval out of [0%, 100%] or reversed"),
+    "interval reversed": (
+        "f F = <has_value_in: [5, 2]>.", "E-PARSE-001", "1:22",
+        "interval bounds reversed: [5, 2]"),
+    "computed bound after =": (
+        "f F = <s: = f(x) A>.", "E-PARSE-002", "1:13",
+        "computed bounds are not supported; use a numeric literal"),
+    "factor direction": (
+        "factor Roughly widens.", "E-PARSE-001", "1:16",
+        "expected 'strengthens' or 'weakens', found 'widens'"),
+    "deuniversalize without a ?variable": (
+        "deuniversalize(S, QC, <observed_by: ?S>, 80%) [w] = {QC2}.",
+        "E-PARSE-001", "1:16", "deuniversalize expects a ?variable first"),
+    "strength tag": (
+        "reduce(G) [x] = {G2}.", "E-PARSE-001", "1:12",
+        "expected strength tag s|w|e, found 'x'"),
+    # the quality-form probe fails inside the parentheses, so the body
+    # is read again as a description, which reports the error
+    "quality-form probe falls back to a description": (
+        "f F = Book (A | ).", "E-PARSE-001", "1:17",
+        "expected description, found ')'"),
+}
+
+
+@pytest.mark.parametrize("name", PARSE_ERRORS)
+def test_parse_error_paths(name):
+    text, code, where, message = PARSE_ERRORS[name]
+    out = parse_model_file(text + "\n")
+    assert out.declarations == []
+    assert [(d.code, str(d.span), d.message) for d in out.diagnostics] == [
+        (code, where, message)]
+
+
+@pytest.mark.parametrize("text, region, written", [
+    ("<= 30%", ast.Percent(Fraction(0), Fraction(3, 10)), "[0%, 30%]"),
+    (">= 30%", ast.Percent(Fraction(3, 10), Fraction(1)), "[30%, 100%]"),
+])
+def test_one_sided_percent_regions(text, region, written):
+    d = parse_description(f"<has_value_in: {text}>")
+    assert d == ast.Slot("has_value_in", ast.ExactlyOne(), ast.Region(region))
+    assert render_description(d) == f"<has_value_in: {written}>"
+    assert parse_description(render_description(d)) == d
 
 
 class TestWalkers:
