@@ -21,7 +21,7 @@ matched against a node only where the match can change the answer.
 from __future__ import annotations
 
 from .diagnostics import E_QUERY, ERROR, Diagnostic
-from .reasoner.regions import region_subset
+from .reasoner.normal import structural_subsumes
 from .reasoner.subsume import subsumes
 from .reasoner.verdict import Unknown, is_proved
 from .records import Record
@@ -299,7 +299,7 @@ def _eval_region_slot(g, d, ctx):
     for instance, declared in g.regions.items():
         if any(r == region for r in declared):
             sure.add(instance)
-        elif any(region_subset(r, region, ctx.region_supers)
+        elif any(structural_subsumes(ast.Region(r), ast.Region(region), ctx)
                  for r in declared):
             maybe.add(instance)
     return sure, maybe

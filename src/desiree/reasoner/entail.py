@@ -27,7 +27,7 @@ from ..syntax import ast
 from ..syntax.parser import DescBody, NLBody, QualityBody, SubsumptionBody
 from .interp import Interpretation, Witness
 from .normal import DnfOverflow, ReasonerContext, structural_subsumes
-from .regions import region_gap_point, region_subset
+from .regions import region_gap_point
 from .subsume import subsumes
 from .verdict import PROVED, Disproved, Unknown, Verdict3, is_proved
 
@@ -156,7 +156,8 @@ def quality_entails(b1: QualityBody, b2: QualityBody,
             problems.append("observer")
     # An observer on b1 only restricts how the constraint is checked, not
     # what it claims, so it never blocks; b2-only asks for less anyway.
-    if not region_subset(b1.region, b2.region, ctx.region_supers):
+    if not structural_subsumes(ast.Region(b1.region), ast.Region(b2.region),
+                               ctx):
         if not problems and b1.observer == b2.observer:
             p = region_gap_point(b1.region, b2.region)
             if p is not None:

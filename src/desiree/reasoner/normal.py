@@ -9,9 +9,8 @@ parts. Merging two conjuncts unions them set by set. Subsumption holds
 when every left conjunct lands inside some right conjunct, requirement
 by requirement.
 
-A context reads the told axioms once into the prover's two tables,
-which leave out told disjunctions, and the search's index
-(ReasonerContext).
+A context reads the told axioms once into the prover's table, which
+leaves out told disjunctions, and the search's index (ReasonerContext).
 
 Everything here errs toward "not proven": a False answer never means
 disproved. Counterexamples are the oracle's job.
@@ -36,21 +35,15 @@ class DnfOverflow(Exception):
     """Normalization exceeded the disjunct cap."""
 
 
-def _side_name(d: ast.Description) -> str | None:
-    if isinstance(d, ast.Atom) and d.name not in ("Anything", "Nothing"):
-        return d.name
-    if isinstance(d, ast.Region) and isinstance(d.expr, ast.Named):
-        return d.expr.name
-    return None
-
-
 class ReasonerContext(Record):
     """Background theory plus caches shared across queries.
 
-    `told[a]` merges atom a's told right sides that normalise to one
-    conjunct (None if they contradict); a side with more disjuncts or
-    past `max_dnf` is left out, which only loses proofs.
-    `region_supers[n]` holds the names n is told to lie within.
+    `told` is keyed by a told left side: an atom's name (a str) or a
+    named region (an ast.Named), so a concept axiom never speaks of the
+    region of the same name. `told[key]` merges the key's told right
+    sides that normalise to one conjunct (None if they contradict); a
+    side with more disjuncts or past `max_dnf` is left out, which only
+    loses proofs.
     `by_lhs` indexes `axiom_pairs()` for the bounded search: it maps each
     symbol to the entries (position, axiom, signature of both sides) of
     the axioms whose left side mentions it (key None: those whose left
@@ -59,7 +52,7 @@ class ReasonerContext(Record):
     `programs` holds one copy of each program in its keys.
 
     A context is built once per theory and grown, never rebuilt: one
-    pass over its new axioms fills all three tables. A context given a
+    pass over its new axioms fills both tables. A context given a
     `base` (with the same disjoints and cap, whose axioms begin this
     one's) starts from the base's tables and shares its search memo;
     it copies only the entry lists its new axioms join, and appends in
@@ -89,8 +82,7 @@ class ReasonerContext(Record):
     def __post_init__(self, base=None):
         if base is None:
             self.disjoint_pairs = {frozenset(p) for p in self.disjoints}
-            self.told: dict[str, Conjunct | None] = {}
-            self.region_supers: dict[str, tuple[str, ...]] = {}
+            self.told: dict[str | ast.Named, Conjunct | None] = {}
             self.by_lhs: dict[tuple | None, list] = {}
             self.search_memo: dict = {}
             self.programs: dict = {}
@@ -98,7 +90,6 @@ class ReasonerContext(Record):
         else:
             self.disjoint_pairs = base.disjoint_pairs
             self.told = dict(base.told)
-            self.region_supers = dict(base.region_supers)
             self.by_lhs = dict(base.by_lhs)
             self.search_memo, self.programs = base.search_memo, base.programs
             self.n_entries, new = base.n_entries, self.axioms[len(base.axioms):]
@@ -114,19 +105,22 @@ class ReasonerContext(Record):
                 else:
                     self.by_lhs[s] = [*self.by_lhs.get(s, ()), entry]
                     own.add(s)
-            n1, n2 = _side_name(lhs), _side_name(rhs)
-            if n1 and n2:
-                self.region_supers[n1] = self.region_supers.get(n1, ()) + (n2,)
-            if not (n1 and isinstance(lhs, ast.Atom)):
+            if isinstance(lhs, ast.Atom) and lhs.name not in (
+                    "Anything", "Nothing"):
+                key = lhs.name
+            elif isinstance(lhs, ast.Region) and isinstance(
+                    lhs.expr, ast.Named):
+                key = lhs.expr
+            else:
                 continue
             try:
                 nf = translate(rhs, self)
             except (DnfOverflow, RecursionError):  # too large to normalise
                 continue
-            if len(nf) == 1 and n1 not in self.told:
-                self.told[n1] = nf[0]
-            elif len(nf) == 1 and self.told[n1] is not None:
-                self.told[n1] = _merge(self.told[n1], nf[0], self)
+            if len(nf) == 1 and key not in self.told:
+                self.told[key] = nf[0]
+            elif len(nf) == 1 and self.told[key] is not None:
+                self.told[key] = _merge(self.told[key], nf[0], self)
         self.memo: dict = {}
         # structural_subsumes' open queries (to their depth) and the
         # outermost depth whose cycle guard the current query has read
@@ -294,10 +288,12 @@ def _apply_neg(cs: list, r: ast.Description, ctx: ReasonerContext) -> list:
 
 
 def enrich(c: Conjunct, ctx: ReasonerContext) -> Conjunct | None:
-    """Fold in the told consequences of the conjunct's atoms, and of the
-    atoms they bring in; None when that reaches bottom."""
+    """Fold in the told consequences of the conjunct's atoms and named
+    regions, and of those they bring in; None when that reaches bottom.
+    Named regions are closed here, so `region_subset` never follows an
+    axiom."""
     done: set = set()
-    while todo := (c.atoms - done) & ctx.told.keys():
+    while todo := ((c.atoms | c.regions) - done) & ctx.told.keys():
         done |= todo
         for a in todo:
             t = ctx.told[a]
@@ -363,8 +359,7 @@ def _conj_leq(c: Conjunct, d: Conjunct, ctx: ReasonerContext) -> bool:
         if not any(e1 <= e2 for e1 in c.enums):
             return False
     for r2 in d.regions:
-        if not any(region_subset(r1, r2, ctx.region_supers)
-                   for r1 in c.regions):
+        if not any(region_subset(r1, r2) for r1 in c.regions):
             return False
     for s2, b2 in d.projs:
         if not any(s1 == s2 and structural_subsumes(b1, b2, ctx)

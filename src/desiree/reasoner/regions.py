@@ -13,8 +13,8 @@ point, the first probe in r1 and not in r2, replays by construction.
 
 Which pairs are compared at all:
 
-- a named region only through the context's `region_supers`
-  (named_closure); clash detection keeps its own closure (consistency);
+- a named region only with itself; the prover first closes a conjunct's
+  named regions under the told axioms (normal.enrich);
 - a percentage only with another percentage;
 - two intervals only when they have the same unit;
 - a value set with another value set, or with an interval of any unit.
@@ -97,18 +97,6 @@ def build_grid(nums: set[Fraction], lits: set[str],
     return tuple(points)
 
 
-def named_closure(name: str, supers: dict) -> frozenset[str]:
-    """All names reachable from name through supers (name -> names)."""
-    seen = {name}
-    frontier = [name]
-    while frontier:
-        for sup in supers.get(frontier.pop(), ()):
-            if sup not in seen:
-                seen.add(sup)
-                frontier.append(sup)
-    return frozenset(seen)
-
-
 def _compared(r1: ast.RegionExpr, r2: ast.RegionExpr) -> bool:
     t1, t2 = type(r1), type(r2)
     if ast.Named in (t1, t2):
@@ -142,16 +130,10 @@ def _compare(r1: ast.RegionExpr, r2: ast.RegionExpr):
     return gap, overlap
 
 
-def region_subset(
-    r1: ast.RegionExpr,
-    r2: ast.RegionExpr,
-    region_supers: dict[str, tuple[str, ...]],
-) -> bool:
-    """Whether r1 is provably contained in r2."""
+def region_subset(r1: ast.RegionExpr, r2: ast.RegionExpr) -> bool:
+    """Whether r1 is provably contained in r2, read off the two alone."""
     if r1 == r2:
         return True
-    if isinstance(r1, ast.Named) and isinstance(r2, ast.Named):
-        return r2.name in named_closure(r1.name, region_supers)
     found = _compare(r1, r2)
     return found is not None and found[0] is None
 

@@ -356,7 +356,7 @@ class _Parser:
             self.pos = i + 3
             den = self.tokens.value(i + 2)
             if den == 0:
-                raise ParseError(self.span(i + 3), "zero denominator")
+                raise ParseError(self.span(i + 2), "zero denominator")
             return num / den
         self.pos = i + 1
         return num

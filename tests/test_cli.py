@@ -448,6 +448,15 @@ def test_entail_region_witnesses_replay(tmp_path, capsys):
     assert list(verdicts.values()).count("disproved") == 18
 
 
+def test_entail_reads_a_region_axiom(tmp_path, capsys):
+    f = tmp_path / "fast.dsr"
+    f.write_text('qg QG_fast = Processing_time (F1) :: Fast.\n'
+                 'qc QC_ten = Processing_time (F1) :: [0, 10 Sec].\n'
+                 'axiom "Fast" :< [0, 5 Sec].\n')
+    assert run(capsys, "entail", str(f), "QG_fast", "QC_ten") == (
+        0, "Proved\n", "")
+
+
 # ---------------------------------------------------------------------------
 # query
 

@@ -209,7 +209,7 @@ class TestQualityRule:
         assert isinstance(back, Unknown)
 
     def test_named_region_via_axiom(self):
-        ctx = ctx_with('Fast :< "Nearly Fast"')
+        ctx = ctx_with('"Fast" :< "Nearly Fast"')
         v = quality_entails(
             qb("Processing_time", "F1", ast.Named("Fast")),
             qb("Processing_time", "F1", ast.Named("Nearly Fast")), ctx)
@@ -358,25 +358,24 @@ class TestAssuming:
 
     def test_tables_extend_the_parents(self):
         ctx = ctx_with("Advanced_search :< Search", "Search :< Function",
-                       disjoints=[("A", "B")])
+                       '"Fast" :< "Good"', disjoints=[("A", "B")])
         ax = (D("Search"), D("Fast_function"))
         child = ctx.assuming(ax)
         fresh = ReasonerContext(ctx.axioms + [ax], ctx.disjoints)
         assert child.told == fresh.told
-        assert child.region_supers == fresh.region_supers
         assert child.disjoint_pairs == fresh.disjoint_pairs
         assert child.told["Search"] == Conjunct(
             atoms={"Function", "Fast_function"})
-        assert child.region_supers["Search"] == ("Function", "Fast_function")
         # the parent is left as it was, and shares every entry the
-        # assumed axiom does not extend
+        # assumed axiom does not extend; a region axiom lands under the
+        # named region, an atom axiom under the bare name only
+        fast = ast.Named("Fast")
         assert ctx.told == {"Advanced_search": Conjunct(atoms={"Search"}),
-                            "Search": Conjunct(atoms={"Function"})}
-        assert ctx.region_supers == {"Advanced_search": ("Search",),
-                                     "Search": ("Function",)}
+                            "Search": Conjunct(atoms={"Function"}),
+                            fast: Conjunct(regions={ast.Named("Good")})}
         assert child.told["Advanced_search"] is ctx.told["Advanced_search"]
-        assert (child.region_supers["Advanced_search"]
-                is ctx.region_supers["Advanced_search"])
+        assert child.told[fast] is ctx.told[fast]
+        assert ast.Named("Search") not in child.told
 
     def test_one_context_per_distinct_assumption(self, monkeypatch):
         ctx = ctx_with("Advanced_search :< Search")

@@ -4,15 +4,16 @@ replaced (`reference_parser.py`).
 On drawn descriptions and model files, rendered and then mutated token
 by token, both must give the same ASTs, the same ParseError code, span
 and message, and the same `parse_model_file` diagnostics after recovery.
-Two differences are allowed, both faults of the reference:
+Three differences are allowed, all faults of the reference:
 
 - its quality-form probe re-reads a `:<` token it overwrote (the glued
   colon);
+- it reports a zero denominator at the token after the `0`;
 - it reads a deuniversalize pattern with a parser of its own, so after a
   ParseError in the pattern, recovery starts again at the pattern's
   start.
 
-Every input is also run through the reference with both faults mended
+Every input is also run through the reference with the faults mended
 (`_MendedParser` and `_pattern_read_in_place`), which must agree with
 the new parser everywhere.
 """
@@ -39,11 +40,13 @@ GLUED_PROBE = "goal G1 = A (<object:<actor: B>>).\n"
 # pattern stops there
 PATTERN_ERROR = ("deuniversalize(?X, G1, <a: >=3 (Sec .)> <b: ]>, 5%) [s] = {}."
                  "\nf F1 = A.\n")
+ZERO_DENOMINATOR = "f F = <s: =1/0 A>.\nf F1 = A.\n"
 
 
 class _MendedParser(reference_parser._Parser):
     """The reference parser, except that moving back puts back the `:<`
-    tokens that `expect_colon` overwrote past the new position."""
+    tokens that `expect_colon` overwrote past the new position, and that
+    a zero denominator is reported at the `0`."""
 
     def __init__(self, tokens, allow_var=False):
         self.overwritten = {}
@@ -65,6 +68,14 @@ class _MendedParser(reference_parser._Parser):
         if self.cur.is_sym(":<"):
             self.overwritten.setdefault(self.pos, self.cur)
         super().expect_colon()
+
+    def parse_number(self):
+        try:
+            return super().parse_number()
+        except ParseError as e:
+            if e.message != "zero denominator":
+                raise
+            raise ParseError(self.tokens[self.pos - 1].span, e.message) from None
 
 
 _REFERENCE_APPLICATION = reference_parser._parse_application
@@ -98,11 +109,12 @@ def _outcome(parse, text, **kw):
     return result
 
 
-def _reference(name, text, colon=False, pattern=False, **kw):
-    """The reference's outcome, with the glued-colon fault mended when
-    colon, and the pattern recovery fault when pattern."""
+def _reference(name, text, tokens=False, pattern=False, **kw):
+    """The reference's outcome, with the glued-colon and zero-denominator
+    faults mended when tokens, and the pattern recovery fault when
+    pattern."""
     with ExitStack() as mends:
-        if colon:
+        if tokens:
             mends.enter_context(mock.patch.object(
                 reference_parser, "_Parser", _MendedParser))
         if pattern:
@@ -112,22 +124,22 @@ def _reference(name, text, colon=False, pattern=False, **kw):
         return _outcome(getattr(reference_parser, name), text, **kw)
 
 
-def _glued_probe_fault(outcome):
-    """Whether the reference reported a ':<' it overwrote as a '<'."""
+def _reports(outcome, message):
+    """Whether a reference outcome raised or recovered from message."""
     if outcome[0] == "ParseError":
-        return outcome[3] == "expected ':', found '<'"
-    return any(message == "expected ':', found '<'"
-               for _code, _span, message in outcome[1])
+        return outcome[3] == message
+    return any(m == message for _code, _span, m in outcome[1])
 
 
 def assert_same(name, text, **kw):
     new = _outcome(getattr(syn, name), text, **kw)
-    assert new == _reference(name, text, colon=True, pattern=True, **kw)
+    assert new == _reference(name, text, tokens=True, pattern=True, **kw)
     plain = _reference(name, text, **kw)
     if new != plain:
-        assert name == "parse_model_file"
-        assert (_glued_probe_fault(plain)
-                or _reference(name, text, pattern=True, **kw) != plain)
+        assert (_reports(plain, "zero denominator")
+                or name == "parse_model_file"
+                and (_reports(plain, "expected ':', found '<'")
+                     or _reference(name, text, pattern=True, **kw) != plain))
 
 
 # -- drawn inputs ----------------------------------------------------------
@@ -233,6 +245,7 @@ soups = st.lists(st.sampled_from(_PIECES), max_size=30).flatmap(joined)
 @example("A . B", False)
 @example("A 3% | B", False)
 @example("<s: 100/3%> <t: 5%> <u: >=2 (Sec)> <v: <=1 A>", False)
+@example("<s: =1/0 A>", False)
 def test_descriptions_parse_as_in_the_reference(text, allow_var):
     assert_same("parse_description", text, allow_var=allow_var)
 
@@ -243,6 +256,7 @@ def test_descriptions_parse_as_in_the_reference(text, allow_var):
 @example(". f F1 = A.")
 @example("goal G1 = A & (<object:<actor: B>>).\nqg Q1 = Speed(<a:<b: A>>) :: Fast.")
 @example(PATTERN_ERROR)
+@example(ZERO_DENOMINATOR)
 @example("qg Q1 = Speed(A) :: [1, 2 Sec.] <observed_by:<a: B>>.\n"
          "qg Q2 = Speed(A) :: Fast <a: B>.")
 def test_model_files_parse_as_in_the_reference(text):
@@ -258,6 +272,14 @@ def test_the_glued_colon_probe_differs_from_the_reference():
         ast.Atom("A"),
         ast.Slot("object", ast.ExactlyOne(),
                  ast.Slot("actor", ast.ExactlyOne(), ast.Atom("B")))))
+
+
+def test_a_zero_denominator_is_reported_at_the_zero():
+    assert _reference("parse_model_file", ZERO_DENOMINATOR)[1] == [
+        ("E-PARSE-001", (1, 16), "zero denominator")]
+    decls, diags = _outcome(parse_model_file, ZERO_DENOMINATOR)
+    assert diags == [("E-PARSE-001", (1, 14), "zero denominator")]
+    assert [d.ident for d in decls] == ["F1"]
 
 
 def test_recovery_resumes_at_an_error_in_a_deuniversalize_pattern():

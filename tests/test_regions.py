@@ -4,16 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from desiree.reasoner.normal import ReasonerContext, structural_subsumes
+from desiree.reasoner.oracle import oracle_disprove
 from desiree.reasoner.regions import (
-    named_closure,
     region_gap_point,
     region_subset,
     regions_certainly_disjoint,
 )
 from desiree.reasoner.semantics import point_in_region, replay_witness
 from desiree.reasoner.subsume import subsumes
-from desiree.reasoner.verdict import Disproved
+from desiree.reasoner.verdict import Disproved, Proved
 from desiree.syntax import ast
+from desiree.syntax.parser import parse_description as pd
 
 from gen_strategies import intervals, percents, regions, value_sets
 
@@ -52,7 +54,7 @@ def test_a_gap_point_lies_in_r1_and_not_in_r2(r1, r2):
 
 @given(concrete, concrete)
 def test_compared_pairs_agree_with_a_dense_sample(r1, r2):
-    subset = region_subset(r1, r2, {})
+    subset = region_subset(r1, r2)
     disjoint = regions_certainly_disjoint(r1, r2)
     gap = region_gap_point(r1, r2)
     if compared(r1, r2):
@@ -91,7 +93,7 @@ SEC_0_10 = ast.Interval(F(0), F(10), "Sec")
      False, False, F(4)),
 ])
 def test_comparability_rules(r1, r2, subset, disjoint, gap):
-    assert region_subset(r1, r2, {}) is subset
+    assert region_subset(r1, r2) is subset
     assert regions_certainly_disjoint(r1, r2) is disjoint
     assert region_gap_point(r1, r2) == gap
 
@@ -109,21 +111,57 @@ def test_the_gap_point_is_r1s_own_point_first():
 
 
 def test_named_regions_are_compared_through_the_edges():
-    supers = {"Fast": ("Good",), "Good": ("Nearly Fast",),
-              "Nearly Fast": ("Good",), "Slow": ("Bad",)}
-    assert named_closure("Fast", supers) == {"Fast", "Good", "Nearly Fast"}
-    assert named_closure("Bad", supers) == {"Bad"}
-    fast, nearly, slow = (ast.Named(n) for n in ("Fast", "Nearly Fast",
-                                                 "Slow"))
-    assert region_subset(fast, nearly, supers)
-    assert not region_subset(nearly, fast, supers)
-    assert not region_subset(fast, slow, supers)
-    assert region_subset(slow, slow, {})
-    # never against a concrete region, and never a gap or disjointness
-    assert not region_subset(fast, SEC_0_10, supers)
+    # region_subset reads two regions alone: one named region lies within
+    # another only when they are one. The told edges are followed by the
+    # prover, which closes a conjunct's named regions first.
+    fast, good, nearly, slow, bad = (
+        ast.Named(n) for n in ("Fast", "Good", "Nearly Fast", "Slow", "Bad"))
+    assert region_subset(slow, slow)
+    assert not region_subset(fast, nearly)
+    assert not region_subset(fast, SEC_0_10)
+    edges = [(fast, good), (good, nearly), (nearly, good), (slow, bad)]
+    ctx = ReasonerContext([(ast.Region(a), ast.Region(b)) for a, b in edges])
+
+    def within(r1, r2):
+        return structural_subsumes(ast.Region(r1), ast.Region(r2), ctx)
+
+    assert within(fast, nearly) and within(nearly, good)
+    assert not within(nearly, fast)
+    assert not within(fast, slow)
+    assert not within(bad, slow)
+    # never a gap or disjointness
     assert region_gap_point(fast, slow) is None
     assert region_gap_point(SEC_0_10, fast) is None
     assert not regions_certainly_disjoint(fast, slow)
+
+
+CHAIN = ('"Fast" :< "Nearly Fast"', '"Nearly Fast" :< "Good"')
+CYCLE = ('"A" :< "B"', '"B" :< "A"')
+BOUNDED = ('"Fast" :< [0, 5 Sec]',)
+
+
+@pytest.mark.parametrize("axioms, r1, r2, proved", [
+    (CHAIN, '"Fast"', '"Good"', True),
+    (CHAIN, '"Good"', '"Fast"', False),
+    (CYCLE, '"A"', '"B"', True),
+    (CYCLE, '"B"', '"A"', True),
+    (BOUNDED, '"Fast"', "[0, 10 Sec]", True),
+    (BOUNDED, '"Fast"', "[0, 3 Sec]", False),
+    # a concept axiom says nothing of the region of the same name, nor
+    # does one whose right side is a region
+    (("A :< B",), '"A"', '"B"', False),
+    (('A :< "B"',), '"A"', '"B"', False),
+])
+def test_told_region_inclusions(axioms, r1, r2, proved):
+    ctx = ReasonerContext([tuple(map(pd, a.split(":<"))) for a in axioms])
+    d1, d2 = pd(r1), pd(r2)
+    assert structural_subsumes(d1, d2, ctx) is proved
+    w = oracle_disprove(d1, d2, ctx)
+    assert (w is None) is proved
+    if w is not None:
+        assert replay_witness(w)
+    v = subsumes(d1, d2, ctx)
+    assert isinstance(v, Proved if proved else Disproved)
 
 
 @pytest.mark.parametrize("values", [("a", "b"), ("a", "__other__"),

@@ -4,7 +4,10 @@ Every randomly generated pair runs through both routes. A structural
 proof alongside a bounded counterexample would be a soundness bug, and
 every counterexample must replay through the reference evaluator.
 """
+from fractions import Fraction
+
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from desiree.reasoner.normal import (
     DnfOverflow,
@@ -13,7 +16,7 @@ from desiree.reasoner.normal import (
     translate,
 )
 from desiree.reasoner.oracle import BoundsExceeded, oracle_disprove
-from desiree.reasoner.semantics import replay_witness
+from desiree.reasoner.semantics import replay_witness, satisfies_axioms
 from desiree.syntax import ast
 from desiree.syntax.parser import parse_description as pd
 from gen_strategies import descriptions
@@ -49,6 +52,47 @@ def test_proofs_survive_the_search(d1, d2):
         assert w is None, f"proved yet refuted: {w.to_json()}"
     if w is not None:
         assert replay_witness(w)
+
+
+# One pool of names for atoms and named regions, so that a theory may
+# speak of the atom A and the region "A" at once (a region name need not
+# be an identifier), and concrete regions of one unit, so that named and
+# concrete regions meet in the search.
+POOL = ("A", "B", "Fast", "Good")
+SECONDS = [ast.Interval(Fraction(lo), hi and Fraction(hi), "Sec")
+           for lo, hi in ((0, 3), (0, 5), (0, 10), (4, None))]
+
+
+def _pool_sides(leaves):
+    """A leaf, or two joined by & or | (a region joins regions only)."""
+    return st.one_of(leaves, st.builds(ast.And, leaves, leaves),
+                     st.builds(ast.Or, leaves, leaves))
+
+
+pool_sides = st.one_of(
+    _pool_sides(st.sampled_from(POOL).map(ast.Atom)),
+    _pool_sides(st.one_of(
+        st.sampled_from(POOL + ("Nearly Fast",)).map(ast.Named),
+        st.sampled_from(SECONDS)).map(ast.Region)))
+
+
+@RELAXED
+@given(axioms=st.lists(st.tuples(pool_sides, pool_sides), max_size=3),
+       d1=pool_sides, d2=pool_sides)
+@example(axioms=[(ast.Atom("A"), ast.Atom("B"))],
+         d1=ast.Region(ast.Named("A")), d2=ast.Region(ast.Named("B")))
+def test_proofs_survive_the_search_under_a_theory(axioms, d1, d2):
+    ctx = ReasonerContext(axioms)
+    proved = _structural(d1, d2, ctx)
+    try:
+        w = oracle_disprove(d1, d2, ctx)
+    except BoundsExceeded:
+        return
+    if proved:
+        assert w is None, f"proved yet refuted: {w.to_json()}"
+    if w is not None:
+        assert replay_witness(w)
+        assert satisfies_axioms(w.interp, ctx.axiom_pairs())
 
 
 @RELAXED

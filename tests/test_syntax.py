@@ -438,7 +438,7 @@ class TestParseModelFile:
 # name -> (declaration, code, position, message) of the one diagnostic
 PARSE_ERRORS = {
     "zero denominator": (
-        "f F = <s: =1/0 A>.", "E-PARSE-001", "1:16", "zero denominator"),
+        "f F = <s: =1/0 A>.", "E-PARSE-001", "1:14", "zero denominator"),
     "deuniversalize percentage out of range": (
         "deuniversalize(?S, QC, <observed_by: ?S>, 150%) [w] = {QC2}.",
         "E-PARSE-001", "1:43", "percentage 150% out of [0%, 100%]"),
