@@ -126,10 +126,7 @@ def scale_region(region: ast.RegionExpr,
         raise OperatorError(
             E_REGION_KIND, "qualitative factors need a named region")
     scaled = ast.Named(f"{factor} {region.name}")
-    if needed == "weakens":
-        axiom = (ast.Region(region), ast.Region(scaled))
-    else:
-        axiom = (ast.Region(scaled), ast.Region(region))
+    axiom = (region, scaled) if needed == "weakens" else (scaled, region)
     return scaled, axiom
 
 

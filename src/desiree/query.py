@@ -281,8 +281,8 @@ def _eval_slot(g, d, ctx, diags, cand):
 
 
 def _query_region(filler: ast.Description) -> ast.RegionExpr | None:
-    if isinstance(filler, ast.Region):
-        return filler.expr
+    if isinstance(filler, ast.REGIONS):
+        return filler
     if isinstance(filler, ast.Atom):
         return ast.Named(filler.name)
     return None
@@ -299,8 +299,7 @@ def _eval_region_slot(g, d, ctx):
     for instance, declared in g.regions.items():
         if any(r == region for r in declared):
             sure.add(instance)
-        elif any(structural_subsumes(ast.Region(r), ast.Region(region), ctx)
-                 for r in declared):
+        elif any(structural_subsumes(r, region, ctx) for r in declared):
             maybe.add(instance)
     return sure, maybe
 

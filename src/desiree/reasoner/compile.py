@@ -72,13 +72,13 @@ def _leaf(d, table: SymbolTable, atom0: int, ind0: int, full: int):
         if d.name == "Nothing":
             return (OP_PUSH_FIXED, 0, 0, 0)
         return (OP_PUSH_ATOM, atom0 + table.atoms[d.name], 0, 0)
-    if isinstance(d, ast.Region):
-        if isinstance(d.expr, ast.Named):
-            return (OP_PUSH_ATOM, table.named[d.expr.name], 0, 0)
-        return (OP_PUSH_FIXED, _fixed_mask(d.expr, table), 0, 0)
     if isinstance(d, ast.Enum):
         fields = tuple(ind0 + table.inds[name] for name in d.members)
         return (OP_PUSH_ENUM, fields, 0, 0)
+    if isinstance(d, ast.Named):
+        return (OP_PUSH_ATOM, table.named[d.name], 0, 0)
+    if isinstance(d, ast.REGIONS):
+        return (OP_PUSH_FIXED, _fixed_mask(d, table), 0, 0)
     if isinstance(d, ast.Var):
         raise CompileError("variables have no extension")
     raise CompileError(f"cannot compile {d!r}")

@@ -156,8 +156,7 @@ def quality_entails(b1: QualityBody, b2: QualityBody,
             problems.append("observer")
     # An observer on b1 only restricts how the constraint is checked, not
     # what it claims, so it never blocks; b2-only asks for less anyway.
-    if not structural_subsumes(ast.Region(b1.region), ast.Region(b2.region),
-                               ctx):
+    if not structural_subsumes(b1.region, b2.region, ctx):
         if not problems and b1.observer == b2.observer:
             p = region_gap_point(b1.region, b2.region)
             if p is not None:
@@ -171,7 +170,7 @@ def quality_entails(b1: QualityBody, b2: QualityBody,
 def _region_witness(point, r1, r2) -> Witness:
     """A one-point interpretation separating two concrete regions."""
     interp = Interpretation(k=0, grid=(point,))
-    return Witness(interp, 0, ast.Region(r1), ast.Region(r2))
+    return Witness(interp, 0, r1, r2)
 
 
 # ---------------------------------------------------------------------------

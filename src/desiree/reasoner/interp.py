@@ -3,7 +3,10 @@
 The universe of an interpretation is {0..k-1} (individuals) followed by
 grid points (value elements) at indices {k..k+len(grid)-1}. Atoms hold
 individuals only; slot relations go from individuals to anything; regions
-hold grid points only.
+hold grid points only. Individual names denote individuals. An
+Interpretation that breaks this raises ValueError when it is made, so
+the reference evaluator never reads a grid point in an atom, which the
+bounded search never puts there.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ class Interpretation(Frozen):
                    {} if named_regions is None else named_regions)
         init_field(self, "individuals",
                    {} if individuals is None else individuals)
+        _check_universe(self)
 
     @property
     def universe(self) -> frozenset[int]:
@@ -41,6 +45,27 @@ class Interpretation(Frozen):
 
     def grid_indices(self) -> range:
         return range(self.k, self.k + len(self.grid))
+
+
+def _check_universe(i: Interpretation) -> None:
+    """Raise ValueError at the first member outside its part of the
+    universe."""
+    k, end = i.k, i.k + len(i.grid)
+    for what, table, lo, hi in (("atom", i.atoms, 0, k),
+                                ("named region", i.named_regions, k, end)):
+        for name, xs in table.items():
+            if xs and (min(xs) < lo or max(xs) >= hi):
+                raise ValueError(f"{what} {name!r} holds {sorted(xs)}, "
+                                 f"outside range({lo}, {hi})")
+    for name, rel in i.slots.items():
+        for x, y in rel:
+            if not (0 <= x < k and 0 <= y < end):
+                raise ValueError(f"slot {name!r} holds ({x}, {y}), outside "
+                                 f"range(0, {k}) x range(0, {end})")
+    for name, x in i.individuals.items():
+        if not 0 <= x < k:
+            raise ValueError(f"individual {name!r} is {x}, outside "
+                             f"range(0, {k})")
 
 
 class Witness(Frozen):

@@ -108,9 +108,8 @@ class ReasonerContext(Record):
             if isinstance(lhs, ast.Atom) and lhs.name not in (
                     "Anything", "Nothing"):
                 key = lhs.name
-            elif isinstance(lhs, ast.Region) and isinstance(
-                    lhs.expr, ast.Named):
-                key = lhs.expr
+            elif isinstance(lhs, ast.Named):
+                key = lhs
             else:
                 continue
             try:
@@ -203,8 +202,6 @@ def translate(d: ast.Description, ctx: ReasonerContext) -> list[Conjunct]:
         return [Conjunct(atoms=frozenset({d.name}))]
     if isinstance(d, ast.Enum):
         return [Conjunct(enums=frozenset({frozenset(d.members)}))]
-    if isinstance(d, ast.Region):
-        return [Conjunct(regions=frozenset({d.expr}))]
     if isinstance(d, ast.Slot):
         if isinstance(d.modifier, ast.Only):
             return [Conjunct(onlys=frozenset({(d.slot, d.filler)}))]
@@ -245,6 +242,8 @@ def translate(d: ast.Description, ctx: ReasonerContext) -> list[Conjunct]:
             else:
                 out = _apply_neg(out, node.right, ctx)
         return _merge_run(out, run, ctx) if run else out
+    if isinstance(d, ast.REGIONS):
+        return [Conjunct(regions=frozenset({d}))]
     raise ValueError(f"no extension for {d!r}")
 
 

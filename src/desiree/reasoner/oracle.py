@@ -64,7 +64,7 @@ def signature(d: ast.Description) -> frozenset[tuple]:
     """The symbols d mentions, each tagged with its kind: (ast.Atom,
     name) for atoms other than Anything and Nothing, (ast.Slot, slot)
     for slots and projections, (ast.Enum, member) for individuals and
-    (ast.Region, expr) for region expressions."""
+    (ast.REGIONS, region) for regions, which are nodes of d themselves."""
     out = set()
     for node in ast.walk(d):
         if isinstance(node, ast.Atom):
@@ -74,8 +74,8 @@ def signature(d: ast.Description) -> frozenset[tuple]:
             out.add((ast.Slot, node.slot))
         elif isinstance(node, ast.Enum):
             out.update((ast.Enum, x) for x in node.members)
-        elif isinstance(node, ast.Region):
-            out.add((ast.Region, node.expr))
+        elif isinstance(node, ast.REGIONS):
+            out.add((ast.REGIONS, node))
     return frozenset(out)
 
 
@@ -108,9 +108,9 @@ def _nonempty_when_empty(d: ast.Description, sigma=frozenset()) -> bool:
             todo.append(d.filler if isinstance(d, ast.Slot) else d.base)
         elif isinstance(d, ast.Atom):
             vals.append(d.name == "Anything" or (ast.Atom, d.name) in sigma)
-        elif isinstance(d, ast.Region):
-            vals.append(not isinstance(d.expr, ast.Named)
-                        or (ast.Region, d.expr) in sigma)
+        elif isinstance(d, ast.REGIONS):
+            vals.append(not isinstance(d, ast.Named)
+                        or (ast.REGIONS, d) in sigma)
         else:  # enum members always exist; a slot outside sigma has no edge
             vals.append(isinstance(d, ast.Enum))
     return vals.pop()
@@ -173,10 +173,10 @@ def build_problems(
     union of the pair's and the entries' signatures (as select_axioms
     leaves it), split by kind; it and the grid are made once; each k is
     compiled when the caller asks for it."""
-    kinds = {ast.Atom: [], ast.Slot: [], ast.Enum: [], ast.Region: []}
+    kinds = {ast.Atom: [], ast.Slot: [], ast.Enum: [], ast.REGIONS: []}
     for kind, symbol in sigma:
         kinds[kind].append(symbol)
-    named, units, nums, lits = census(kinds[ast.Region])
+    named, units, nums, lits = census(kinds[ast.REGIONS])
     if len(units) > 1:
         raise BoundsExceeded(
             "mixed units: " + ", ".join(sorted(u or "(none)" for u in units)))

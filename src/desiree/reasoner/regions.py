@@ -11,6 +11,10 @@ uses (census, build_grid). Membership cannot change between neighbouring
 numbers, so the probes decide inclusion and overlap exactly, and the gap
 point, the first probe in r1 and not in r2, replays by construction.
 
+A region here is the node that stands in a description (one of
+ast.REGIONS), with no wrapper: the prover passes the regions of its
+conjuncts, and the search's census is the regions of its signature.
+
 Which pairs are compared at all:
 
 - a named region only with itself; the prover first closes a conjunct's

@@ -58,8 +58,6 @@ def eval_desc(d: ast.Description, interp: Interpretation) -> frozenset[int]:
         if d.name == "Anything":
             return interp.universe
         return interp.atoms.get(d.name, frozenset())
-    if isinstance(d, ast.Region):
-        return region_members(d.expr, interp)
     if isinstance(d, ast.Enum):
         members = set()
         for name in d.members:
@@ -98,6 +96,8 @@ def eval_desc(d: ast.Description, interp: Interpretation) -> frozenset[int]:
             else:
                 out = out - right
         return out
+    if isinstance(d, ast.REGIONS):
+        return region_members(d, interp)
     raise TypeError(f"cannot evaluate {d!r}")
 
 

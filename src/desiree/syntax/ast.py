@@ -1,4 +1,11 @@
-"""AST node types for descriptions and their region expressions.
+"""AST node types for descriptions.
+
+A region (a named region, an interval, a value set or a percentage) is
+a set of values and a description in its own right: the parser builds
+the region node itself wherever one stands, in a quality's `::` tail,
+as a `has_value_in` filler or as an operand (`"Nearly Fast"`,
+`:: {3, Mon}`). `REGIONS` lists the four region classes, for
+`isinstance` checks and as the bounded search's kind tag.
 
 Every node is an immutable `records.Frozen` record. Its fields are the
 public names in its `__slots__`, and assigning to one raises
@@ -68,7 +75,7 @@ CardModifier = Union[ExactlyOne, AtMost, AtLeast, Exactly, Some, Only]
 
 
 # ---------------------------------------------------------------------------
-# Region expressions.
+# Regions: sets of values, and descriptions in their own right.
 
 
 class Named(Frozen):
@@ -119,6 +126,7 @@ class Percent(Frozen):
         init_field(self, "_hash", hash((lo, hi)))
 
 
+REGIONS = (Named, Interval, ValueSet, Percent)
 RegionExpr = Union[Named, Interval, ValueSet, Percent]
 
 
@@ -207,16 +215,6 @@ class Diff(_Chain):
     __slots__ = ("left", "right", "_hash")
 
 
-class Region(Frozen):
-    """A region expression used in description position."""
-
-    __slots__ = ("expr", "_hash")
-
-    def __init__(self, expr: RegionExpr):
-        init_field(self, "expr", expr)
-        init_field(self, "_hash", hash((expr,)))
-
-
 class Var(Frozen):
     """A ?X variable; legal only inside de-universalization arguments."""
 
@@ -227,7 +225,7 @@ class Var(Frozen):
         init_field(self, "_hash", hash((name,)))
 
 
-Description = Union[Atom, Slot, Enum, Proj, And, Or, Diff, Region, Var]
+Description = Union[Atom, Slot, Enum, Proj, And, Or, Diff, RegionExpr, Var]
 
 NOTHING = Atom("Nothing")
 ANYTHING = Atom("Anything")

@@ -3,18 +3,19 @@
 `tokenize` makes one `finditer` pass of a master regex, `_TOKEN_RE`.
 Each match swallows the whitespace and `//` comments before a token,
 then matches the token itself in one named group per kind: identifiers,
-symbols (longest first), numbers, strings, `?`-variables, the end of the
-text, and the malformed cases. The name of the group that matched
-(`Match.lastgroup`) is the token kind. The pass builds no object per
-token: it fills three flat parallel lists, `Tokens.kinds`, `Tokens.texts`
-and `Tokens.offsets` (the token's start in the text). The parser walks
-those lists by index.
+projection dots, symbols (longest first), numbers, strings,
+`?`-variables, the end of the text, and the malformed cases. The name
+of the group that matched (`Match.lastgroup`) is the token kind. The
+pass builds no object per token: it fills three flat parallel lists,
+`Tokens.kinds`, `Tokens.texts` and `Tokens.offsets` (the token's start
+in the text). The parser walks those lists by index.
 
 Everything else is read from the text only when it is asked for: a
 token's 1-based line and column come from its offset, a NUMBER's value
-is `Fraction(text)`, a STRING's value is its unescaped body, and the two
-glue flags of a symbol say whether the characters beside it are not
-whitespace. Glue is how the parser tells projection dots (`F1.object`)
+is `Fraction(text)` and a STRING's value is its unescaped body.
+
+A dot with a non-blank character on both sides is a DOT token, any other
+dot a SYM. That is how the parser tells projection dots (`F1.object`)
 from declaration terminators (`... .`).
 
 Whitespace is exactly space, tab, carriage return and newline. An
@@ -40,6 +41,7 @@ IDENT = "IDENT"
 NUMBER = "NUMBER"
 STRING = "STRING"
 VAR = "VAR"
+DOT = "DOT"  # a dot glued to non-blanks on both sides, as in F1.object
 SYM = "SYM"  # punctuation; the text field holds the symbol itself
 EOF = "EOF"
 
@@ -48,6 +50,7 @@ _TOKEN_RE = re.compile(r"""
     (?:[ \t\r\n]+|//[^\n]*)*            # whitespace and comments before
     (?:
       (?P<IDENT>[A-Za-z_]\w*)
+    | (?P<DOT>(?<=[^ \t\r\n])\.(?=[^ \t\r\n]))
     | (?P<SYM>::|:<|<=|>=|[<>:{}()\[\],.|&\-=%/])
     | (?P<NUMBER>\d+(?:\.\d+)?)
     | (?P<STRING>"(?:[^"\\\n]|\\.)*")
@@ -62,7 +65,6 @@ _CHECKED = _TOKEN_RE.groupindex["EOF"]
 
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 _NEWLINE_RE = re.compile(r"\n")
-_UNGLUED = frozenset(("", " ", "\t", "\r", "\n"))
 
 
 class LexError(Exception):
@@ -76,8 +78,8 @@ class Tokens:
     """A lexed text: flat parallel lists of kinds, texts and offsets,
     ending with one EOF token.
 
-    `span`, `value` and `glued` read one token's other fields from the
-    text; `len` counts the tokens.
+    `span` and `value` read one token's other fields from the text; `len`
+    counts the tokens.
     """
 
     def __init__(self, source: str, kinds: list[str], texts: list[str],
@@ -113,16 +115,6 @@ class Tokens:
         if kind == VAR:
             return text[1:]
         return None
-
-    def glued(self, i: int) -> tuple[bool, bool]:
-        """Whether a symbol touches a non-blank character on its left and
-        on its right; (False, False) for other tokens."""
-        if self.kinds[i] != SYM:
-            return False, False
-        start = self.offsets[i]
-        end = start + len(self.texts[i])
-        return (self.source[start - 1:start] not in _UNGLUED,
-                self.source[end:end + 1] not in _UNGLUED)
 
     def __len__(self) -> int:
         return len(self.kinds)

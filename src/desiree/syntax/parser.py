@@ -11,8 +11,8 @@ A description is read by one precedence-climbing loop, `_Parser._expr`
 loosest to tightest: Diff `-` < Or `|` < And `&`, where juxtaposition is
 an implicit `&`; all three associate to the left. Projection
 (`F1.object`) is a postfix on an operand, and parentheses override.
-Declarations end at a dot that is not glued on both sides (glued dots
-belong to projections).
+Declarations end at a dot that the lexer did not read as a projection
+`DOT` (one glued to non-blanks on both sides).
 
 The `<=n` / `>=n` forms are context-sensitive by design: followed by a
 description they are cardinality modifiers (`<register_for: >=3 Class>`);
@@ -20,6 +20,11 @@ followed by the closing delimiter they are one-sided interval regions
 (`<age: >=20>`); and in region context (after `::`, inside `[...]`, or as
 the filler of the reserved relation `has_value_in`) a trailing identifier
 is a unit (`<has_value_in: <=5 Sec>`).
+
+A region is a description in its own right: wherever one stands (a
+quoted name, `[...]`, a percentage, `:: R`, a `has_value_in` filler or
+a quality's `::` tail) the parser returns the region node itself. An
+operator joins two regions or two concepts, never one of each.
 
 The token lists are never written. A slot colon glued to a nested slot
 (`<a:<b: X>>`) lexes as one `:<` token; the parser takes its ':' and
@@ -43,6 +48,7 @@ from desiree.diagnostics import (
 from desiree.records import Frozen, Record, init_field
 from desiree.syntax import ast
 from desiree.syntax.lexer import (
+    DOT,
     EOF,
     IDENT,
     NUMBER,
@@ -365,10 +371,14 @@ class _Parser:
         i = self.pos
         num = self.parse_number()
         self.expect_sym("%")
-        pct = num / 100
-        if pct < 0 or pct > 1:
-            raise ParseError(self.span(i), f"percentage {num}% out of [0%, 100%]")
-        return pct
+        return self._percent(num, i)
+
+    def _percent(self, num: Fraction, at: int) -> Fraction:
+        """num% as a fraction of one; out of [0%, 100%], an error at token
+        `at`."""
+        if not 0 <= num <= 100:
+            raise ParseError(self.span(at), f"percentage {num}% out of [0%, 100%]")
+        return num / 100
 
     def _int_modifier(self, cls, n: Fraction, i: int, minimum: int):
         if n.denominator != 1 or n < minimum:
@@ -403,18 +413,18 @@ class _Parser:
         hi_pct = self.accept("%")
         if lo_pct != hi_pct:
             raise ParseError(self.span(start), "percent interval needs '%' on both bounds")
-        if lo_pct:
-            self.expect_sym("]")
-            lo, hi = lo / 100, hi / 100
-            if not (0 <= lo <= hi <= 1):
-                raise ParseError(self.span(start),
-                                 "percent interval out of [0%, 100%] or reversed")
-            return ast.Percent(lo, hi)
-        unit = self.parse_unit(bare_ok=True)
+        unit = None if lo_pct else self.parse_unit(bare_ok=True)
         self.expect_sym("]")
+        if lo_pct:
+            region = ast.Percent(self._percent(lo, start),
+                                 self._percent(hi, start))
+        else:
+            region = ast.Interval(lo, hi, _trim_unit(unit))
         if lo > hi:
-            raise ParseError(self.span(start), f"interval bounds reversed: [{lo}, {hi}]")
-        return ast.Interval(lo, hi, _trim_unit(unit))
+            mark = "%" if lo_pct else ""
+            raise ParseError(self.span(start),
+                             f"interval bounds reversed: [{lo}{mark}, {hi}{mark}]")
+        return region
 
     def parse_region(self) -> ast.RegionExpr:
         """A region in region context (QGC `::` tail, has_value_in filler)."""
@@ -451,9 +461,7 @@ class _Parser:
         num = self.parse_number()
         if op is None or self.texts[self.pos] == "%":
             self.expect_sym("%")
-            p = num / 100
-            if not 0 <= p <= 1:
-                raise ParseError(self.span(i), "percentage out of range")
+            p = self._percent(num, i)
             if op is None:
                 return ast.Percent(p, p)
             return ast.Percent(Fraction(0), p) if op == "<=" else ast.Percent(p, Fraction(1))
@@ -542,25 +550,24 @@ class _Parser:
             node = self._nested_description(i, 0)
             self.expect_sym(")")
         elif text == "[":
-            node = ast.Region(self.parse_bracket_region())
+            node = self.parse_bracket_region()
         elif text in ("<=", ">=") or self._at_percent_number():
             # A region literal in plain description position (no bare units).
-            node = ast.Region(self._region_literal(bare_ok=False))
+            node = self._region_literal(bare_ok=False)
         elif kind == STRING:
             # A quoted name in description position is a named region;
             # bare identifiers stay concept atoms.
             self.pos = i + 1
-            node = ast.Region(ast.Named(self.tokens.value(i)))
+            node = ast.Named(self.tokens.value(i))
         elif text == "::":
             # `:: R` reads R in region context, so `:: {3, Mon}` is a
             # value set where `{3, Mon}` would be an enumeration.
             self.pos = i + 1
-            node = ast.Region(self.parse_region())
+            node = self.parse_region()
         else:
             raise self.error("description")
         i = self.pos
-        while (texts[i] == "." and kinds[i + 1] == IDENT
-               and self.tokens.glued(i) == (True, True)):
+        while kinds[i] == DOT and kinds[i + 1] == IDENT:
             node = ast.Proj(node, texts[i + 1])
             i += 2
         self.pos = i
@@ -600,11 +607,11 @@ class _Parser:
             else:
                 # not a cardinality bound: read it again as a region
                 self.pos = i
-                filler = ast.Region(self._region_literal(bare_ok=region_ctx))
+                filler = self._region_literal(bare_ok=region_ctx)
 
         if filler is None:
             if region_ctx:
-                filler = ast.Region(self.parse_region())
+                filler = self.parse_region()
             else:
                 filler = self._nested_description(opened, shift)
         if not self.accept(">"):
@@ -630,9 +637,10 @@ class _Parser:
         return texts[j] == ")" and texts[j + 1] == ">"
 
     def at_decl_dot(self) -> bool:
-        """At a dot that ends a declaration: one not glued on both sides."""
+        """At a dot that ends a declaration: one the lexer did not read
+        as a projection dot."""
         i = self.pos
-        return self.texts[i] == "." and self.tokens.glued(i) != (True, True)
+        return self.texts[i] == "." and self.kinds[i] != DOT
 
 
 def _is_region_desc(d: ast.Description) -> bool:
@@ -641,7 +649,7 @@ def _is_region_desc(d: ast.Description) -> bool:
     # spine of a chain is short: chains nest to the left.
     while isinstance(d, (ast.And, ast.Or, ast.Diff)):
         d = d.right
-    return isinstance(d, ast.Region)
+    return isinstance(d, ast.REGIONS)
 
 
 def _trim_unit(unit: str | None) -> str | None:

@@ -114,22 +114,22 @@ def _render_at(d: ast.Description) -> str:
     if isinstance(d, ast.Var):
         return f"?{d.name}"
     if isinstance(d, ast.Slot):
-        if d.slot in syn.REGION_SLOTS and isinstance(d.filler, ast.Region):
-            filler = render_region(d.filler.expr)
+        if d.slot in syn.REGION_SLOTS and isinstance(d.filler, ast.REGIONS):
+            filler = render_region(d.filler)
         else:
             filler = _render(d.filler, _LEVEL_DIFF)
         return f"<{d.slot}: {_modifier(d.modifier)}{filler}>"
     if isinstance(d, ast.Enum):
         return "{" + ", ".join(d.members) + "}"
-    if isinstance(d, ast.Region):
-        # Description position: named regions must be quoted so they do not
-        # read back as concept atoms, and value sets marked so they do not
-        # read back as enumerations.
-        if isinstance(d.expr, ast.Named):
-            return _quote(d.expr.name)
-        if isinstance(d.expr, ast.ValueSet):
-            return ":: " + render_region(d.expr)
-        return render_region(d.expr)
+    # Description position: named regions must be quoted so they do not
+    # read back as concept atoms, and value sets marked so they do not
+    # read back as enumerations.
+    if isinstance(d, ast.Named):
+        return _quote(d.name)
+    if isinstance(d, ast.ValueSet):
+        return ":: " + render_region(d)
+    if isinstance(d, ast.REGIONS):
+        return render_region(d)
     raise TypeError(f"not a description: {d!r}")
 
 

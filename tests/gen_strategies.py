@@ -72,11 +72,11 @@ def descriptions(max_depth: int = 3):
     """
 
     def extend(children):
-        fillers = st.one_of(children, regions.map(ast.Region))
+        fillers = st.one_of(children, regions)
         return st.one_of(
             st.builds(ast.Slot, slot_names, modifiers, fillers),
             st.builds(ast.Slot, st.just("has_value_in"),
-                      st.just(ast.ExactlyOne()), regions.map(ast.Region)),
+                      st.just(ast.ExactlyOne()), regions),
             st.builds(ast.And, children, children),
             st.builds(ast.Or, children, children),
             st.builds(ast.Diff, children, children),
@@ -100,8 +100,7 @@ def graph_queries(graph, max_leaves: int = 8):
     relations = st.sampled_from(sorted(graph.relations) + ["bogus"])
     declared = sorted({r for rs in graph.regions.values() for r in rs},
                       key=repr)
-    region_fillers = st.one_of(st.sampled_from(declared),
-                               regions).map(ast.Region)
+    region_fillers = st.one_of(st.sampled_from(declared), regions)
     operators = st.sampled_from((ast.And, ast.Or, ast.Diff))
 
     def chain(first, rest):

@@ -28,8 +28,8 @@ def translate(d: ast.Description, ctx: ReasonerContext) -> list[Conjunct]:
         return [Conjunct(atoms=frozenset({d.name}))]
     if isinstance(d, ast.Enum):
         return [Conjunct(enums=frozenset({frozenset(d.members)}))]
-    if isinstance(d, ast.Region):
-        return [Conjunct(regions=frozenset({d.expr}))]
+    if isinstance(d, ast.REGIONS):
+        return [Conjunct(regions=frozenset({d}))]
     if isinstance(d, ast.Slot):
         if isinstance(d.modifier, ast.Only):
             return [Conjunct(onlys=frozenset({(d.slot, d.filler)}))]

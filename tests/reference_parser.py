@@ -24,6 +24,7 @@ from desiree.diagnostics import (
 )
 from desiree.syntax import ast
 from desiree.syntax.lexer import (
+    DOT,
     EOF,
     IDENT,
     NUMBER,
@@ -82,12 +83,25 @@ class Token(NamedTuple):
         return self.kind == SYM and self.text == s
 
 
+_BLANK = ("", " ", "\t", "\r", "\n")
+
+
 def token_list(tokens: Tokens) -> list[Token]:
-    """The tokens of a lexed text, read through the same `Tokens` methods
-    the parser calls."""
-    return [Token(tokens.kinds[i], tokens.texts[i], tokens.span(i),
-                  tokens.value(i), *tokens.glued(i))
-            for i in range(len(tokens))]
+    """The tokens of a lexed text as the reference reads them: a
+    projection DOT is the symbol '.', and a symbol's glue flags say
+    whether the characters beside it in the text are not blank."""
+    out = []
+    source = tokens.source
+    for i in range(len(tokens)):
+        kind, text = tokens.kinds[i], tokens.texts[i]
+        glued = False, False
+        if kind in (SYM, DOT):
+            kind, start = SYM, tokens.offsets[i]
+            end = start + len(text)
+            glued = (source[start - 1:start] not in _BLANK,
+                     source[end:end + 1] not in _BLANK)
+        out.append(Token(kind, text, tokens.span(i), tokens.value(i), *glued))
+    return out
 
 
 class _Parser:
@@ -361,19 +375,19 @@ class _Parser:
             self.expect_sym(")")
             return inner
         if tok.is_sym("["):
-            return ast.Region(self.parse_bracket_region())
+            return self.parse_bracket_region()
         if tok.is_sym("<=") or tok.is_sym(">=") or self._at_percent_number():
             # A region literal in plain description position (no bare units).
-            return ast.Region(self._region_literal(bare_ok=False))
+            return self._region_literal(bare_ok=False)
         if tok.kind == STRING:
             # A quoted name in description position is a named region;
             # bare identifiers stay concept atoms.
-            return ast.Region(ast.Named(self.advance().value))
+            return ast.Named(self.advance().value)
         if tok.is_sym("::"):
             # `:: R` reads R in region context, so `:: {3, Mon}` is a
             # value set where `{3, Mon}` would be an enumeration.
             self.advance()
-            return ast.Region(self.parse_region())
+            return self.parse_region()
         raise ParseError(tok.span, f"expected description, found {tok.text!r}")
 
     def _slot(self) -> ast.Description:
@@ -409,11 +423,11 @@ class _Parser:
             else:
                 # not a cardinality bound: read it again as a region
                 self.pos = start
-                filler = ast.Region(self._region_literal(bare_ok=region_ctx))
+                filler = self._region_literal(bare_ok=region_ctx)
 
         if filler is None:
             if region_ctx:
-                filler = ast.Region(self.parse_region())
+                filler = self.parse_region()
             else:
                 filler = self._nested_description(open_span)
         if not self.cur.is_sym(">"):
@@ -461,7 +475,7 @@ def _is_region_desc(d: ast.Description) -> bool:
     # left.
     while isinstance(d, (ast.And, ast.Or, ast.Diff)):
         d = d.right
-    return isinstance(d, ast.Region)
+    return isinstance(d, ast.REGIONS)
 
 
 def _trim_unit(unit: str | None) -> str | None:

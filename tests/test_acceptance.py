@@ -355,13 +355,13 @@ def _random_ast(rng, depth=0):
         return ast.Enum(tuple(rng.sample(INDS7, rng.randint(1, 2))))
     if roll < 0.45:
         return ast.Slot("has_value_in", ast.ExactlyOne(),
-                        ast.Region(_random_region(rng, with_values=True)))
+                        _random_region(rng, with_values=True))
     if roll < 0.65:
         mods = [ast.ExactlyOne(), ast.Some(), ast.Only(),
                 ast.AtMost(rng.randint(0, 3)),
                 ast.AtLeast(rng.randint(1, 3)),
                 ast.Exactly(rng.randint(1, 3))]
-        filler = (ast.Region(_random_region(rng)) if rng.random() < 0.25
+        filler = (_random_region(rng) if rng.random() < 0.25
                   else _random_ast(rng, depth + 1))
         return ast.Slot(rng.choice(SLOTS7), rng.choice(mods), filler)
     if roll < 0.72:

@@ -238,7 +238,7 @@ def test_percent_out_of_range_in_every_position(capsys, tmp_path, text, col):
     code, out, err = run(capsys, "check", str(f))
     assert (code, err) == (1, "")
     assert out.startswith(
-        f"error: E-PARSE-001 1:{col} percentage out of range\n")
+        f"error: E-PARSE-001 1:{col} percentage 150% out of [0%, 100%]\n")
 
 
 @pytest.mark.parametrize("op", [" & ", " | ", " - ", " and ", "."])

@@ -263,8 +263,8 @@ def test_qualitative_scaling_adds_region_axiom():
              "scaledown(QG, Nearly) [w] = {QG_n}.")
     assert codes(m) == []
     assert m.elements["QG_n"].body.region == ast.Named("Nearly Fast")
-    assert (ast.Region(ast.Named("Fast")),
-            ast.Region(ast.Named("Nearly Fast"))) in m.axioms
+    assert (ast.Named("Fast"),
+            ast.Named("Nearly Fast")) in m.axioms
     assert m.applications[0].verdict == "verified"
 
 
@@ -346,7 +346,7 @@ def test_an_implied_axiom_decides_as_a_stated_one():
                   'qg QG_n = Processing_time (F1) :: "Nearly Fast".\n'
                   + SCALED_LATER)
     assert codes(implied) == codes(stated)
-    fast, nearly, very = (ast.Region(ast.Named(name)) for name in
+    fast, nearly, very = (ast.Named(name) for name in
                           ("Fast", "Nearly Fast", "Very Nearly Fast"))
     da = (ast.Atom("Run"), ast.Atom("Process"))
     assert implied.context().axioms == [da, (fast, nearly), (very, nearly)]

@@ -97,8 +97,8 @@ def test_qualitative_scaledown_prefixes_and_orders():
                                      ops.BUILTIN_FACTORS)
     assert scaled == ast.Named("Nearly Fast")
     lhs, rhs = axiom
-    assert lhs == ast.Region(ast.Named("Fast"))
-    assert rhs == ast.Region(ast.Named("Nearly Fast"))
+    assert lhs == ast.Named("Fast")
+    assert rhs == ast.Named("Nearly Fast")
 
 
 def test_qualitative_scaleup_orders_the_other_way():
@@ -107,8 +107,8 @@ def test_qualitative_scaleup_orders_the_other_way():
                                      ops.BUILTIN_FACTORS)
     assert scaled == ast.Named("Very Fast")
     lhs, rhs = axiom
-    assert lhs == ast.Region(ast.Named("Very Fast"))
-    assert rhs == ast.Region(ast.Named("Fast"))
+    assert lhs == ast.Named("Very Fast")
+    assert rhs == ast.Named("Fast")
 
 
 def test_declared_factor_respected():

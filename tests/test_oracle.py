@@ -211,12 +211,12 @@ def test_selection_keeps_kinds_apart():
     # name; only the atom s empties the left side of s :< Q
     ax = (pd("s"), pd("Q"))
     for kin in [pd("<s: A>"), pd("A.s"), pd("{s}"),
-                ast.Region(ast.Named("s"))]:
+                ast.Named("s")]:
         assert select_axioms(kin, pd("B"), theory([ax])) == []
         w = oracle_disprove(kin, pd("B"), theory([ax]))
         assert "Q" not in w.interp.atoms
     assert select_axioms(pd("s"), pd("B"), theory([ax])) == entries([ax])
-    fast = (ast.Region(ast.Named("Fast")), pd("Q"))
+    fast = (ast.Named("Fast"), pd("Q"))
     assert select_axioms(pd("Fast"), pd("B"), theory([fast])) == []
     assert select_axioms(fast[0], pd("B"), theory([fast])) == entries([fast])
 
@@ -270,7 +270,7 @@ UNIVERSAL_SIDES = [ast.ANYTHING, pd("<s: <=1 A>"), pd("Anything - B"),
 axiom_sides = st.recursive(
     st.one_of(st.sampled_from("ABCDEFG").map(ast.Atom),
               st.sampled_from(["a", "b"]).map(lambda x: ast.Enum((x,))),
-              st.just(ast.Region(ast.Named("Fast")))),
+              st.just(ast.Named("Fast"))),
     lambda sub: st.one_of(
         st.builds(ast.And, sub, sub),
         st.builds(ast.Or, sub, sub),
@@ -342,9 +342,9 @@ def test_a_grown_context_answers_as_a_fresh_one(d1, d2, axioms, more,
     assert grown.axioms == fresh.axioms
     assert grown.told == fresh.told
     # a region axiom's key is the named region, an atom axiom's the name
-    lefts = {lhs.expr if isinstance(lhs, ast.Region) else lhs.name
+    lefts = {lhs if isinstance(lhs, ast.Named) else lhs.name
              for lhs, _ in axioms + more
-             if isinstance(lhs, (ast.Atom, ast.Region))}
+             if isinstance(lhs, (ast.Atom, ast.Named))}
     assert fresh.told.keys() <= lefts
 
     def module(ctx):
@@ -499,8 +499,8 @@ def test_interval_widening_monotone_only_for_some():
 
 
 def test_named_region_needs_axiom():
-    fast = ast.Region(ast.Named("Fast"))
-    slow = ast.Region(ast.Named("Slow"))
+    fast = ast.Named("Fast")
+    slow = ast.Named("Slow")
     w = oracle_disprove(fast, slow, theory())
     assert w is not None
     assert replay_witness(w)
@@ -514,7 +514,7 @@ def test_mixed_units_are_skipped():
     minutes = pd("<has_value_in: [0, 30 (Min.)]>")
     with pytest.raises(BoundsExceeded):
         oracle_disprove(sec, minutes, theory())
-    pct = ast.Region(ast.Percent(Fraction(0), Fraction(1, 2)))
+    pct = ast.Percent(Fraction(0), Fraction(1, 2))
     with pytest.raises(BoundsExceeded):
         oracle_disprove(pd("<has_value_in: [0, 20 (Sec.)]>"),
                         ast.Slot("has_value_in", ast.ExactlyOne(), pct),
@@ -555,7 +555,7 @@ SWEEP_CASES = [
     (pd("A"), pd("A B"), []),
     (pd("{a, b}"), pd("{a}"), []),
     (pd("A | B"), pd("A"), [(pd("B"), pd("A"))]),
-    (ast.Region(ast.Named("Fast")), ast.Region(ast.Named("Slow")), []),
+    (ast.Named("Fast"), ast.Named("Slow"), []),
     (pd("<s: SOME A>"), pd("<s: ONLY A>"), []),
 ]
 
@@ -740,7 +740,7 @@ def test_early_witness_evaluates_about_twice_its_index(monkeypatch):
 kernel_leaves = st.one_of(
     st.sampled_from("AB").map(ast.Atom),
     st.sampled_from([ast.ANYTHING, ast.NOTHING,
-                     ast.Region(ast.Named("Fast"))]),
+                     ast.Named("Fast")]),
     st.lists(st.sampled_from("ab"), min_size=1, max_size=2,
              unique=True).map(lambda ms: ast.Enum(tuple(ms))))
 kernel_descs = st.recursive(kernel_leaves, lambda sub: st.one_of(

@@ -4,11 +4,17 @@ replaced (`reference_parser.py`).
 On drawn descriptions and model files, rendered and then mutated token
 by token, both must give the same ASTs, the same ParseError code, span
 and message, and the same `parse_model_file` diagnostics after recovery.
-Three differences are allowed, all faults of the reference:
+Four differences are allowed, all faults of the reference:
 
 - its quality-form probe re-reads a `:<` token it overwrote (the glued
   colon);
 - it reports a zero denominator at the token after the `0`;
+- it words a percentage fault three ways: `percentage out of range`
+  for `150%` and `<= 150%`, and `percent interval out of [0%, 100%] or
+  reversed` for both faults of `[10%, 150%]` and `[50%, 20%]`, where
+  the new parser says `percentage 150% out of [0%, 100%]` for any bound
+  out of range and `interval bounds reversed: [50%, 20%]` as for
+  `[5, 2]`;
 - it reads a deuniversalize pattern with a parser of its own, so after a
   ParseError in the pattern, recovery starts again at the pattern's
   start.
@@ -28,7 +34,7 @@ from hypothesis import strategies as st
 import reference_parser
 from desiree.syntax import ast
 from desiree.syntax import parser as syn
-from desiree.syntax.lexer import LexError, tokenize
+from desiree.syntax.lexer import SYM, LexError, tokenize
 from desiree.syntax.parser import ParseError, parse_description, parse_model_file
 from desiree.syntax.render import render_declaration, render_description
 
@@ -41,12 +47,19 @@ GLUED_PROBE = "goal G1 = A (<object:<actor: B>>).\n"
 PATTERN_ERROR = ("deuniversalize(?X, G1, <a: >=3 (Sec .)> <b: ]>, 5%) [s] = {}."
                  "\nf F1 = A.\n")
 ZERO_DENOMINATOR = "f F = <s: =1/0 A>.\nf F1 = A.\n"
+PERCENT_FAULTS = ("f F = <s: 150%>.\nf F0 = <t: <= 150%>.\n"
+                  "f F1 = [10%, 150%].\nf F2 = [50%, 20%].\n"
+                  "f F3 = [120%, 20%].\n")
+# the reference's wordings of a percentage fault
+_OUT_OF_RANGE = "percentage out of range"
+_PERCENT_INTERVAL = "percent interval out of [0%, 100%] or reversed"
 
 
 class _MendedParser(reference_parser._Parser):
     """The reference parser, except that moving back puts back the `:<`
-    tokens that `expect_colon` overwrote past the new position, and that
-    a zero denominator is reported at the `0`."""
+    tokens that `expect_colon` overwrote past the new position, that a
+    zero denominator is reported at the `0`, and that a percentage fault
+    is worded as the new parser words it."""
 
     def __init__(self, tokens, allow_var=False):
         self.overwritten = {}
@@ -76,6 +89,42 @@ class _MendedParser(reference_parser._Parser):
             if e.message != "zero denominator":
                 raise
             raise ParseError(self.tokens[self.pos - 1].span, e.message) from None
+
+    def _region_literal(self, bare_ok):
+        start = self.pos
+        try:
+            return super()._region_literal(bare_ok)
+        except ParseError as e:
+            if e.message != _OUT_OF_RANGE:
+                raise
+            end, self.pos = self.pos, start
+            if self.cur.kind == SYM:  # `<=` or `>=`
+                self.pos += 1
+            num = self.parse_number()
+            self.pos = end
+            raise ParseError(e.span, _percent_fault(num, num)) from None
+
+    def parse_bracket_region(self):
+        start = self.pos
+        try:
+            return super().parse_bracket_region()
+        except ParseError as e:
+            if e.message != _PERCENT_INTERVAL:
+                raise
+            end, self.pos = self.pos, start + 1
+            lo = self.parse_number()
+            self.pos += 2  # past the '%' and the ','
+            hi = self.parse_number()
+            self.pos = end
+            raise ParseError(e.span, _percent_fault(lo, hi)) from None
+
+
+def _percent_fault(lo, hi):
+    """The new parser's wording of the fault in the percentages lo..hi."""
+    for bound in (lo, hi):
+        if not 0 <= bound <= 100:
+            return f"percentage {bound}% out of [0%, 100%]"
+    return f"interval bounds reversed: [{lo}%, {hi}%]"
 
 
 _REFERENCE_APPLICATION = reference_parser._parse_application
@@ -110,9 +159,9 @@ def _outcome(parse, text, **kw):
 
 
 def _reference(name, text, tokens=False, pattern=False, **kw):
-    """The reference's outcome, with the glued-colon and zero-denominator
-    faults mended when tokens, and the pattern recovery fault when
-    pattern."""
+    """The reference's outcome, with the glued-colon, zero-denominator
+    and percentage-wording faults mended when tokens, and the pattern
+    recovery fault when pattern."""
     with ExitStack() as mends:
         if tokens:
             mends.enter_context(mock.patch.object(
@@ -136,7 +185,8 @@ def assert_same(name, text, **kw):
     assert new == _reference(name, text, tokens=True, pattern=True, **kw)
     plain = _reference(name, text, **kw)
     if new != plain:
-        assert (_reports(plain, "zero denominator")
+        assert (any(_reports(plain, m) for m in (
+                    "zero denominator", _OUT_OF_RANGE, _PERCENT_INTERVAL))
                 or name == "parse_model_file"
                 and (_reports(plain, "expected ':', found '<'")
                      or _reference(name, text, pattern=True, **kw) != plain))
@@ -246,6 +296,8 @@ soups = st.lists(st.sampled_from(_PIECES), max_size=30).flatmap(joined)
 @example("A 3% | B", False)
 @example("<s: 100/3%> <t: 5%> <u: >=2 (Sec)> <v: <=1 A>", False)
 @example("<s: =1/0 A>", False)
+@example("<s: 150%> | [10%, 150%]", False)
+@example("[50%, 20%]", False)
 def test_descriptions_parse_as_in_the_reference(text, allow_var):
     assert_same("parse_description", text, allow_var=allow_var)
 
@@ -257,6 +309,7 @@ def test_descriptions_parse_as_in_the_reference(text, allow_var):
 @example("goal G1 = A & (<object:<actor: B>>).\nqg Q1 = Speed(<a:<b: A>>) :: Fast.")
 @example(PATTERN_ERROR)
 @example(ZERO_DENOMINATOR)
+@example(PERCENT_FAULTS)
 @example("qg Q1 = Speed(A) :: [1, 2 Sec.] <observed_by:<a: B>>.\n"
          "qg Q2 = Speed(A) :: Fast <a: B>.")
 def test_model_files_parse_as_in_the_reference(text):
@@ -280,6 +333,21 @@ def test_a_zero_denominator_is_reported_at_the_zero():
     decls, diags = _outcome(parse_model_file, ZERO_DENOMINATOR)
     assert diags == [("E-PARSE-001", (1, 14), "zero denominator")]
     assert [d.ident for d in decls] == ["F1"]
+
+
+def test_percentage_faults_are_worded_as_elsewhere():
+    assert [m for _code, _span, m in
+            _reference("parse_model_file", PERCENT_FAULTS)[1]] == [
+        _OUT_OF_RANGE, _OUT_OF_RANGE, _PERCENT_INTERVAL, _PERCENT_INTERVAL,
+        _PERCENT_INTERVAL]
+    decls, diags = _outcome(parse_model_file, PERCENT_FAULTS)
+    assert diags == [
+        ("E-PARSE-001", (1, 11), "percentage 150% out of [0%, 100%]"),
+        ("E-PARSE-001", (2, 12), "percentage 150% out of [0%, 100%]"),
+        ("E-PARSE-001", (3, 8), "percentage 150% out of [0%, 100%]"),
+        ("E-PARSE-001", (4, 8), "interval bounds reversed: [50%, 20%]"),
+        ("E-PARSE-001", (5, 8), "percentage 120% out of [0%, 100%]")]
+    assert decls == []
 
 
 def test_recovery_resumes_at_an_error_in_a_deuniversalize_pattern():

@@ -42,7 +42,6 @@ FROZEN = [
     (ast.And, dict(left=A, right=B)),
     (ast.Or, dict(left=A, right=B)),
     (ast.Diff, dict(left=A, right=B)),
-    (ast.Region, dict(expr=ast.Named("Fast"))),
     (ast.Var, dict(name="X")),
     (syn.NLBody, dict(text="text")),
     (syn.DescBody, dict(desc=A)),
@@ -144,8 +143,8 @@ def test_repr_bytes():
         "left=Atom(name='Class'), right=Enum(members=('a',)))), "
         "right=Proj(base=Atom(name='B'), slot='s'))")
     assert repr(parse_description("<has_value_in: [0, 5 Sec]>")) == (
-        "Slot(slot='has_value_in', modifier=ExactlyOne(), filler=Region("
-        "expr=Interval(lo=Fraction(0, 1), hi=Fraction(5, 1), unit='Sec')))")
+        "Slot(slot='has_value_in', modifier=ExactlyOne(), filler=Interval("
+        "lo=Fraction(0, 1), hi=Fraction(5, 1), unit='Sec'))")
     decls = parse_model_file("fg FG1 = Search <actor: User>.\n").declarations
     assert repr(decls) == (
         "[ElementDecl(kind='fg', ident='FG1', body=DescBody(desc=And("

@@ -4,18 +4,34 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from desiree.reasoner.normal import ReasonerContext, structural_subsumes
-from desiree.reasoner.oracle import oracle_disprove
+from desiree.reasoner import kernels
+from desiree.reasoner.normal import (
+    ReasonerContext,
+    structural_subsumes,
+    translate,
+)
+from desiree.reasoner.oracle import (
+    build_problems,
+    oracle_disprove,
+    select_axioms,
+    signature,
+)
 from desiree.reasoner.regions import (
     region_gap_point,
     region_subset,
     regions_certainly_disjoint,
 )
-from desiree.reasoner.semantics import point_in_region, replay_witness
+from desiree.reasoner.semantics import (
+    eval_desc,
+    point_in_region,
+    replay_witness,
+)
 from desiree.reasoner.subsume import subsumes
 from desiree.reasoner.verdict import Disproved, Proved
 from desiree.syntax import ast
+from desiree.syntax.parser import AxiomDecl, parse_model_file
 from desiree.syntax.parser import parse_description as pd
+from desiree.syntax.render import render_declaration, render_description
 
 from gen_strategies import intervals, percents, regions, value_sets
 
@@ -120,10 +136,10 @@ def test_named_regions_are_compared_through_the_edges():
     assert not region_subset(fast, nearly)
     assert not region_subset(fast, SEC_0_10)
     edges = [(fast, good), (good, nearly), (nearly, good), (slow, bad)]
-    ctx = ReasonerContext([(ast.Region(a), ast.Region(b)) for a, b in edges])
+    ctx = ReasonerContext([(a, b) for a, b in edges])
 
     def within(r1, r2):
-        return structural_subsumes(ast.Region(r1), ast.Region(r2), ctx)
+        return structural_subsumes(r1, r2, ctx)
 
     assert within(fast, nearly) and within(nearly, good)
     assert not within(nearly, fast)
@@ -169,7 +185,61 @@ def test_told_region_inclusions(axioms, r1, r2, proved):
 def test_the_grid_holds_a_literal_no_value_set_holds(values):
     # A named region may hold a value outside every value set, whatever
     # literals the value set uses.
-    v = subsumes(ast.Region(ast.Named("Fast")),
-                 ast.Region(ast.ValueSet(values)))
+    v = subsumes(ast.Named("Fast"), ast.ValueSet(values))
     assert isinstance(v, Disproved)
     assert replay_witness(v.witness)
+
+
+# Each region as written in description position and in region context.
+REGION_FORMS = {
+    "named": (ast.Named("Fast"), '"Fast"', "Fast"),
+    "closed": (ast.Interval(F(0), F(30), "Sec"), "[0, 30 (Sec.)]",
+               "[0, 30 Sec]"),
+    "one-sided": (ast.Interval(F(20), None, "Sec"), ">= 20 (Sec)",
+                  ">=20 Sec"),
+    "value set": (ast.ValueSet(("3", "Mon")), ":: {3, Mon}", "{3, Mon}"),
+    "percent": (ast.Percent(F(1, 10), F(1, 2)), "[10%, 50%]",
+                "[10%, 50%]"),
+}
+GOOD = ast.Named("Good")
+# Each position: the text around the region, and the node around it.
+POSITIONS = {
+    "body": ("{}", lambda r: r),
+    "&": ('{} & "Good"', lambda r: ast.And(r, GOOD)),
+    "|": ('"Good" | {}', lambda r: ast.Or(GOOD, r)),
+    "-": ('{} - "Good"', lambda r: ast.Diff(r, GOOD)),
+    "slot": ("<s: {}>", lambda r: ast.Slot("s", ast.ExactlyOne(), r)),
+    "has_value_in": ("<has_value_in: {}>",
+                     lambda r: ast.Slot("has_value_in", ast.ExactlyOne(), r)),
+    "axiom side": ("axiom {} :< Anything.", None),
+}
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+@pytest.mark.parametrize("form", REGION_FORMS)
+def test_a_region_stands_in_every_description_position(form, position):
+    region, text, in_region_context = REGION_FORMS[form]
+    around, node = POSITIONS[position]
+    if position == "has_value_in":
+        text = in_region_context
+    if node is None:
+        decls = parse_model_file(around.format(text)).declarations
+        assert decls == [AxiomDecl(region, ast.ANYTHING, (1, 1))]
+        assert parse_model_file(render_declaration(decls[0])).declarations \
+            == decls
+        d, axioms = region, [(region, ast.ANYTHING)]
+    else:
+        d, axioms = node(region), []
+        assert pd(around.format(text)) == d
+        assert pd(render_description(d)) == d
+    ctx = ReasonerContext(axioms)
+    assert translate(d, ctx)
+    sigma = set(signature(d))
+    assert (ast.REGIONS, region) in sigma
+    selected = select_axioms(d, d, ctx, sigma)
+    assert len(selected) == len(axioms)
+    for table, _total, programs in build_problems(d, d, selected, sigma):
+        assert len(programs) == 2 + 2 * len(axioms)
+        interp = kernels.decode_interpretation(0, table)
+        assert eval_desc(d, interp) <= interp.universe
+    assert isinstance(subsumes(d, d, ctx), Proved)

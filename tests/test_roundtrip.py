@@ -27,17 +27,17 @@ def test_roundtrip_specific_shapes():
         ast.Diff(ast.Atom("A"), ast.Diff(ast.Atom("B"), ast.Atom("C"))),
         ast.Proj(ast.Enum(("F1",)), "object"),
         ast.Slot("age", ast.ExactlyOne(),
-                 ast.Region(ast.Interval(Fraction(20), None))),
+                 ast.Interval(Fraction(20), None)),
         ast.Slot("q", ast.Only(),
-                 ast.Region(ast.Named("Nearly Fast"))),
+                 ast.Named("Nearly Fast")),
         # A region named like a modifier is quoted in region context.
         ast.Slot("has_value_in", ast.ExactlyOne(),
-                 ast.Region(ast.Named("SOME"))),
-        ast.Slot("has_value_in", ast.Only(), ast.Region(ast.Named("ONLY"))),
+                 ast.Named("SOME")),
+        ast.Slot("has_value_in", ast.Only(), ast.Named("ONLY")),
         # A value set outside region context is marked, not an enumeration.
-        ast.Region(ast.ValueSet(("3/2", "Mon"))),
-        ast.And(ast.Region(ast.Interval(Fraction(0), Fraction(5))),
-                ast.Region(ast.ValueSet(("5",)))),
+        ast.ValueSet(("3/2", "Mon")),
+        ast.And(ast.Interval(Fraction(0), Fraction(5)),
+                ast.ValueSet(("5",))),
     ]
     for d in cases:
         assert parse_description(render_description(d)) == d
@@ -45,7 +45,7 @@ def test_roundtrip_specific_shapes():
 
 def test_fraction_percent_filler():
     d = ast.Slot("s", ast.ExactlyOne(),
-                 ast.Region(ast.Percent(Fraction(1, 3), Fraction(1, 3))))
+                 ast.Percent(Fraction(1, 3), Fraction(1, 3)))
     assert parse_description(render_description(d)) == d
 
 
@@ -54,5 +54,5 @@ def test_render_examples():
     d = ast.Slot("when", ast.ExactlyOne(),
                  ast.Or(ast.Atom("Weekday"), ast.Enum(("Sat",))))
     assert render_description(d) == "<when: Weekday | {Sat}>"
-    d = ast.Region(ast.ValueSet(("3", "Mon")))
+    d = ast.ValueSet(("3", "Mon"))
     assert render_description(d) == ":: {3, Mon}"

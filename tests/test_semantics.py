@@ -80,14 +80,14 @@ def test_boolean_ops():
 def test_regions():
     assert ev("<has_value_in: [0, 30 (Sec.)]>.has_value_in") == fs()
     # the evaluator is unit-blind: 1/4 at index 7 falls in [0, 30] too
-    i = ast.Region(ast.Interval(Fraction(0), Fraction(30), "Sec"))
+    i = ast.Interval(Fraction(0), Fraction(30), "Sec")
     assert eval_desc(i, BASE) == fs(4, 7)
-    assert eval_desc(ast.Region(ast.Interval(Fraction(20), None, None)), BASE) == fs(5)
-    assert eval_desc(ast.Region(ast.ValueSet(("Mon", "Tue"))), BASE) == fs(6)
-    assert eval_desc(ast.Region(ast.ValueSet(("45",))), BASE) == fs(5)
-    assert eval_desc(ast.Region(ast.Named("Fast")), BASE) == fs(4)
-    assert eval_desc(ast.Region(ast.Named("Slow")), BASE) == fs()
-    pct = ast.Region(ast.Percent(Fraction(0), Fraction(1, 2)))
+    assert eval_desc(ast.Interval(Fraction(20), None, None), BASE) == fs(5)
+    assert eval_desc(ast.ValueSet(("Mon", "Tue")), BASE) == fs(6)
+    assert eval_desc(ast.ValueSet(("45",)), BASE) == fs(5)
+    assert eval_desc(ast.Named("Fast"), BASE) == fs(4)
+    assert eval_desc(ast.Named("Slow"), BASE) == fs()
+    pct = ast.Percent(Fraction(0), Fraction(1, 2))
     assert eval_desc(pct, BASE) == fs(7)
 
 
@@ -135,3 +135,36 @@ def test_some_vs_only_witness():
 def test_reflexive_never_violated():
     d = parse_description("Search <actor: User> <object: <=2 Product>")
     assert violates_subsumption(BASE, d, d) == fs()
+
+
+GRID = (Fraction(1), "Mon")  # with k = 1: individual 0, grid points 1, 2
+
+
+@pytest.mark.parametrize("fields, fault", [
+    # It would satisfy `"A" :< B` and separate "A" from B, which the
+    # bounded search, whose atoms hold individuals only, never shows.
+    (dict(k=0, grid=(0,), atoms={"B": {0}},
+          named_regions={"A": {0}, "B": set()}),
+     r"atom 'B' holds \[0\], outside range\(0, 0\)"),
+    (dict(k=1, grid=GRID, atoms={"A": fs(0, 2)}), r"atom 'A' holds \[0, 2\]"),
+    (dict(k=1, grid=GRID, slots={"s": fs((1, 0))}),
+     r"slot 's' holds \(1, 0\)"),
+    (dict(k=1, grid=GRID, slots={"s": fs((0, 3))}),
+     r"slot 's' holds \(0, 3\)"),
+    (dict(k=1, grid=GRID, named_regions={"Fast": fs(0, 1)}),
+     r"named region 'Fast' holds \[0, 1\]"),
+    (dict(k=1, grid=GRID, individuals={"a": 2}), r"individual 'a' is 2"),
+], ids=["grid point in an atom", "atom", "slot source", "slot target",
+        "named region", "individual"])
+def test_members_stay_in_their_part_of_the_universe(fields, fault):
+    with pytest.raises(ValueError, match=fault):
+        Interpretation(**fields)
+
+
+def test_a_witness_with_a_grid_point_in_an_atom_is_refused():
+    w = Witness(Interpretation(k=1, grid=(Fraction(5),), atoms={"A": fs(0)}),
+                0, "A", "B")
+    doc = w.to_json().replace('"A": [0]', '"A": [0, 1]')
+    assert '"A": [0, 1]' in doc
+    with pytest.raises(ValueError, match=r"atom 'A' holds \[0, 1\], outside"):
+        witness_from_json(doc)

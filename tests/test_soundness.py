@@ -73,14 +73,14 @@ pool_sides = st.one_of(
     _pool_sides(st.sampled_from(POOL).map(ast.Atom)),
     _pool_sides(st.one_of(
         st.sampled_from(POOL + ("Nearly Fast",)).map(ast.Named),
-        st.sampled_from(SECONDS)).map(ast.Region)))
+        st.sampled_from(SECONDS))))
 
 
 @RELAXED
 @given(axioms=st.lists(st.tuples(pool_sides, pool_sides), max_size=3),
        d1=pool_sides, d2=pool_sides)
 @example(axioms=[(ast.Atom("A"), ast.Atom("B"))],
-         d1=ast.Region(ast.Named("A")), d2=ast.Region(ast.Named("B")))
+         d1=ast.Named("A"), d2=ast.Named("B"))
 def test_proofs_survive_the_search_under_a_theory(axioms, d1, d2):
     ctx = ReasonerContext(axioms)
     proved = _structural(d1, d2, ctx)

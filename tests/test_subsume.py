@@ -184,13 +184,13 @@ def test_only_rules():
 
 
 def test_region_constraints():
-    sec20 = ast.Region(ast.Interval(Fraction(0), Fraction(20), "Sec"))
-    sec30 = ast.Region(ast.Interval(Fraction(0), Fraction(30), "Sec"))
+    sec20 = ast.Interval(Fraction(0), Fraction(20), "Sec")
+    sec30 = ast.Interval(Fraction(0), Fraction(30), "Sec")
     assert proved(sec20, sec30)
     v = subsumes(sec30, sec20)
     assert isinstance(v, Disproved)
-    fast = ast.Region(ast.Named("Fast"))
-    nearly = ast.Region(ast.Named("Nearly Fast"))
+    fast = ast.Named("Fast")
+    nearly = ast.Named("Nearly Fast")
     ctx = ReasonerContext(axioms=[(fast, nearly)])
     assert proved(fast, nearly, ctx)
     assert not proved(nearly, fast, ctx)
